@@ -359,23 +359,6 @@ DsmSpace::stats() const
 }
 
 void
-DsmSpace::resetStats()
-{
-    readFaults_.reset();
-    writeFaults_.reset();
-    invalidations_.reset();
-    pageTransfers_.reset();
-    bytesTransferred_.reset();
-    extraCycles_.reset();
-    for (NodeStats &ns : nodeStats_) {
-        ns.readFaults.reset();
-        ns.writeFaults.reset();
-        ns.invalidations.reset();
-        ns.pagesIn.reset();
-    }
-}
-
-void
 DsmSpace::registerStats(obs::StatRegistry &reg)
 {
     reg.attach("dsm.read_faults", readFaults_);

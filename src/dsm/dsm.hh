@@ -125,8 +125,6 @@ class DsmSpace
 
     /** Deprecated shim materializing the registry-backed counters. */
     DsmStats stats() const;
-    /** Deprecated: prefer resetting through the owning StatRegistry. */
-    void resetStats();
     /**
      * Attach the protocol counters to `reg`: aggregates under `dsm.*`
      * plus per-node breakdowns under `node<N>.dsm.*` (read_faults,

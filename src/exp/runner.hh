@@ -2,9 +2,10 @@
  * @file
  * Drives a parsed ExperimentSpec end to end: instantiates the nodes,
  * OS containers, cluster simulator, and scheduler policies the spec
- * describes and reproduces the paper-style report of the matching
- * legacy bench -- byte-identically, which the conf-equivalence tests
- * pin against the original binaries.
+ * describes and prints the paper-style report. This is the one driver
+ * of the paper experiments that a conf `kind` expresses; the quick
+ * reports of the paper confs are pinned byte for byte by the goldens
+ * under tests/goldens/.
  */
 
 #ifndef XISA_EXP_RUNNER_HH

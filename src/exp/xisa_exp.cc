@@ -1,14 +1,15 @@
 /**
  * @file
- * The config-driven experiment runner. Every experiment the legacy
- * bench binaries hard-code -- and new ones -- is a `.conf` file:
+ * The config-driven experiment runner, the one driver of every
+ * experiment a `.conf` file can express (Figs. 6-9 overhead, Fig. 12
+ * sustained energy, the rack projection, serving, fleets):
  *
  *     xisa_exp examples/confs/fig12_sustained.conf
  *     xisa_exp --print-spec FILE     # canonical spec, defaults shown
  *     xisa_exp --list-workloads      # registry contents
  *
- * The report of a conf that mirrors a legacy bench is byte-identical
- * to that bench's stdout (pinned by the conf-equivalence tests).
+ * The quick reports of the paper confs are pinned byte for byte by
+ * the goldens under tests/goldens/.
  */
 
 #include <cstdio>

@@ -109,12 +109,6 @@ class Cache
     {
         return {accesses_.value(), misses_.value()};
     }
-    /** Deprecated: prefer resetting through the owning StatRegistry. */
-    void resetStats()
-    {
-        accesses_.reset();
-        misses_.reset();
-    }
     /**
      * Attach this cache's counters to `reg` as `<prefix>.accesses` /
      * `<prefix>.misses` (e.g. "node0.l1d.misses"). Idempotent per cache

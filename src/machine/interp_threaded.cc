@@ -30,7 +30,9 @@
 
 #include "machine/interp_threaded.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "emu/dbt.hh"
 #include "obs/trace.hh"
@@ -526,9 +528,12 @@ ThreadedEngine::runLoop(ThreadContext *ctx, MemPort *mem, Core *core,
 {
     StepResult res;
     if (capture) {
-#define X(n) capture[k##n] = &&L_##n;
-        XISA_UOP_KINDS(X)
+        static const void *const labels[kNumUopKinds] = {
+#define X(n) &&L_##n,
+            XISA_UOP_KINDS(X)
 #undef X
+        };
+        std::copy(std::begin(labels), std::end(labels), capture);
         return res;
     }
 

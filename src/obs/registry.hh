@@ -7,8 +7,9 @@
  * now registers named stats -- counters, gauges, histograms -- into a
  * StatRegistry. Names are hierarchical dotted paths ("dsm.page_transfers",
  * "node0.l1d.misses"); the registry can render them human-readable or as
- * JSON, reset them all at once (subsuming the per-class resetStats()
- * idioms), and snapshot/diff them per measured region (ScopedStatEpoch).
+ * JSON, reset them all at once (the only reset path; components keep no
+ * reset of their own), and snapshot/diff them per measured region
+ * (ScopedStatEpoch).
  *
  * Registries are instantiable: components that may coexist (two
  * ReplicatedOS containers, three ClusterSims) each own one, so names
@@ -197,7 +198,7 @@ class StatRegistry
 
     size_t size() const { return stats_.size(); }
 
-    /** Zero every registered stat (subsumes per-class resetStats()). */
+    /** Zero every registered stat. */
     void resetAll();
 
     /** Human-readable dump, one "name = value" row per stat. */

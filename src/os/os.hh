@@ -155,7 +155,7 @@ class ReplicatedOS
      * This container's stat registry. Every component counter (per-node
      * caches, DSM protocol, interconnect, stack transformer, OS
      * services) is attached here at construction; dump()/dumpJson()
-     * renders them all, resetAll() subsumes the per-class resetStats().
+     * renders them all, resetAll() zeroes them all.
      */
     obs::StatRegistry &statRegistry() { return stats_; }
     /** The invariant auditor riding along, or nullptr unless

@@ -1,17 +1,18 @@
 # Script-mode runner for the zero-fault golden guard.
 #
-#   cmake -DBENCH=<bench binary> -DGOLDEN=<recorded output>
-#         -DOUT=<scratch file> -P golden_check.cmake
+#   cmake -DRUNNER=<xisa_exp binary> -DCONF=<experiment .conf>
+#         -DGOLDEN=<recorded output> -DOUT=<scratch file>
+#         -P golden_check.cmake
 #
-# Runs the bench in XISA_QUICK mode and fails unless its stdout is
-# byte-identical to the golden recorded before the fault-injection layer
-# existed -- the empty FaultPlan must add zero cost and zero behavior.
+# Runs `xisa_exp CONF` in XISA_QUICK mode and fails unless its stdout
+# is byte-identical to the golden: the empty FaultPlan must add zero
+# cost and zero behavior, and the paper reports must not drift.
 #
 # Pass -DAUDIT=1 to run the same guard with the invariant auditor armed
 # (XISA_AUDIT=1): the auditor, like the empty FaultPlan and the disarmed
 # crash-tolerance layer, must never change a run.
 
-foreach(var BENCH GOLDEN OUT)
+foreach(var RUNNER CONF GOLDEN OUT)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "golden_check.cmake: ${var} not set")
     endif()
@@ -23,11 +24,11 @@ if(DEFINED AUDIT AND AUDIT)
 endif()
 
 execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env ${run_env} ${BENCH}
+    COMMAND ${CMAKE_COMMAND} -E env ${run_env} ${RUNNER} ${CONF}
     OUTPUT_FILE ${OUT}
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${BENCH} exited with ${rc}")
+    message(FATAL_ERROR "${RUNNER} ${CONF} exited with ${rc}")
 endif()
 
 execute_process(
@@ -35,7 +36,7 @@ execute_process(
     RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
     message(FATAL_ERROR
-            "zero-fault output of ${BENCH} differs from golden "
+            "zero-fault output of ${CONF} differs from golden "
             "${GOLDEN} (see ${OUT}); the empty FaultPlan must be "
             "bit-identical to the pre-fault-layer behavior")
 endif()

@@ -179,8 +179,9 @@ TEST(IrPrint, RendersFunctionsAndInstructions)
     EXPECT_NE(text.find("cond_br"), std::string::npos);
     // Every non-builtin function prints with its vreg count.
     for (const IRFunction &f : mod.functions)
-        if (!f.isBuiltin())
+        if (!f.isBuiltin()) {
             EXPECT_NE(text.find(f.name), std::string::npos) << f.name;
+        }
 }
 
 } // namespace

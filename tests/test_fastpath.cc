@@ -291,8 +291,9 @@ TEST_P(WorkloadDifferential, FastPathMatchesReferenceExactly)
         }
         expectIdentical(fast, slow,
                         pingPong ? "ping-pong migration" : "plain");
-        if (pingPong)
+        if (pingPong) {
             EXPECT_GE(fast.migrations, 1u);
+        }
     }
 }
 

@@ -817,8 +817,9 @@ TEST(CrashRecovery, PerturbedDeferredHandoffDestCrashKeepsThreadSingular)
     // Exactly-once: no ledger entry may sit applied at a dead
     // destination without being reconciled.
     for (const auto &rec : os.migrationLedger())
-        if (rec.applied && !os.nodeAlive(rec.dest))
+        if (rec.applied && !os.nodeAlive(rec.dest)) {
             EXPECT_TRUE(rec.destDied);
+        }
     ASSERT_NE(os.auditor(), nullptr);
     EXPECT_GT(os.auditor()->checksRun(), 0u);
 }

@@ -80,8 +80,9 @@ TEST(JobSets, SustainedSetsAreDeterministicPerSeed)
         EXPECT_DOUBLE_EQ(j.arrival, 0.0);
         EXPECT_GE(j.threads, 1);
         EXPECT_LE(j.threads, 4);
-        if (!supportsThreads(j.wl))
+        if (!supportsThreads(j.wl)) {
             EXPECT_EQ(j.threads, 1);
+        }
     }
 }
 

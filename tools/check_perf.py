@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Perf-smoke regression gate.
 
-Compares a freshly generated BENCH_interp.json against the checked-in
+Compares a freshly generated BENCH_interp.json (from
+`xisa_exp --json`, the one experiment driver) against the checked-in
 baseline (bench/baselines/BENCH_interp.json):
 
   - Simulation metrics (simulated instructions, per-cell simulated
@@ -20,10 +21,10 @@ baseline (bench/baselines/BENCH_interp.json):
 With --conf EXPERIMENT.conf the fresh JSON is additionally checked
 against the experiment spec it claims to implement: the row set must be
 exactly the conf's (workloads x isas x classes x threads) sweep for the
-JSON's mode, so a bench and its conf cannot drift apart silently.
+JSON's mode, so the runner's rows match the spec.
 
-Serving-kind JSONs (rows keyed by "scenario", from bench_serving /
-serving confs) are gated differently: the deterministic counts
+Serving-kind JSONs (rows keyed by "scenario", from serving confs) are
+gated differently: the deterministic counts
 (requests, slo_violations, migrations, failovers) must match the
 baseline EXACTLY, while the tail percentiles are allowed to drift up to
 --max-p99-regression (default 10%) before the gate fails -- improving
