@@ -269,16 +269,6 @@ Config::hasSection(const std::string &section) const
 }
 
 std::vector<std::string>
-Config::sectionNames() const
-{
-    std::vector<std::string> out;
-    for (const Section &s : sections_)
-        if (!s.name.empty())
-            out.push_back(s.name);
-    return out;
-}
-
-std::vector<std::string>
 Config::sectionsWithPrefix(const std::string &prefix) const
 {
     std::vector<std::string> out;
@@ -408,37 +398,6 @@ Config::getList(const std::string &section,
     return out;
 }
 
-int
-Config::lineOf(const std::string &section, const std::string &key) const
-{
-    const ConfEntry *e = findEntry(section, key);
-    return e ? e->line : 0;
-}
-
-void
-Config::markSectionUsed(const std::string &section) const
-{
-    const Section *s = findSection(section);
-    if (!s)
-        return;
-    for (const ConfEntry &e : s->entries)
-        const_cast<ConfEntry &>(e).used = true;
-}
-
-void
-Config::markSectionsUsedExcept(
-    const std::vector<std::string> &keep) const
-{
-    for (const Section &s : sections_) {
-        bool kept = false;
-        for (const std::string &k : keep)
-            if (s.name == k)
-                kept = true;
-        if (!kept)
-            markSectionUsed(s.name);
-    }
-}
-
 std::vector<std::string>
 Config::unusedKeys() const
 {
@@ -457,12 +416,13 @@ Config::unusedKeys() const
 }
 
 void
-Config::requireAllUsed() const
+Config::requireAllUsed(const std::string &reader) const
 {
     std::vector<std::string> unknown = unusedKeys();
     if (unknown.empty())
         return;
-    std::string msg = name_ + ": unknown key(s):";
+    std::string msg = name_ + ": unknown key(s)" +
+                      (reader.empty() ? "" : " for " + reader) + ":";
     for (const std::string &k : unknown)
         msg += "\n  " + k;
     throw ConfigError(msg);

@@ -1,7 +1,6 @@
 /**
  * @file
- * Sesc-style INI configuration files for the experiment platform
- * (ROADMAP item 5).
+ * Sesc-style INI configuration files for the experiment platform.
  *
  * Real simulators describe machines declaratively; the `.conf`
  * hierarchy of sesc is the model here. The dialect:
@@ -61,9 +60,6 @@ class Config
     const std::string &name() const { return name_; }
 
     bool hasSection(const std::string &section) const;
-    /** Section names in declaration order (the global section "" is
-     *  omitted). */
-    std::vector<std::string> sectionNames() const;
     /** Declaration-ordered section names starting with `prefix`,
      *  e.g. "pool." -> {"pool.static", "pool.balanced", ...}. */
     std::vector<std::string>
@@ -96,23 +92,11 @@ class Config
     int64_t requireInt(const std::string &section,
                        const std::string &key) const;
 
-    /** Line of a key, for consumer-side diagnostics (0 if absent). */
-    int lineOf(const std::string &section, const std::string &key) const;
-
-    /** Mark every key of `section` consumed (a consumer that
-     *  intentionally ignores a foreign section). */
-    void markSectionUsed(const std::string &section) const;
-
     /** "section.key (line N)" for every key no getter touched. */
     std::vector<std::string> unusedKeys() const;
-    /** Throw a ConfigError listing every untouched key. */
-    void requireAllUsed() const;
-
-    /** Sections a Config may carry that this consumer knows nothing
-     *  about (e.g. an experiment spec handed to a bench as --config):
-     *  marks them used wholesale. */
-    void markSectionsUsedExcept(
-        const std::vector<std::string> &keep) const;
+    /** Throw a ConfigError listing every untouched key; a non-empty
+     *  `reader` (e.g. "kind = overhead") names who did not read them. */
+    void requireAllUsed(const std::string &reader = "") const;
 
   private:
     struct Section {

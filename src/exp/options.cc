@@ -2,11 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
-#include "exp/config.hh"
 #include "obs/trace.hh"
 
 namespace xisa::exp {
@@ -20,10 +18,6 @@ usageExit(const char *prog, unsigned features, const char *extraUsage,
     if (!offender.empty())
         std::fprintf(stderr, "unknown argument: %s\n", offender.c_str());
     std::fprintf(stderr, "usage: %s [options]\n", prog);
-    if (features & kOptConfig)
-        std::fprintf(stderr,
-                     "  --config FILE        read option defaults from "
-                     "a .conf file\n");
     if (features & kOptQuick)
         std::fprintf(stderr,
                      "  --quick              reduced sweep "
@@ -80,60 +74,6 @@ parseCrashAt(const std::string &v, const char *flag)
     return ev;
 }
 
-/** Pre-pass: locate --config and fill Options from the file, so the
- *  flag loop afterwards overrides file values with CLI values. */
-void
-applyConfigDefaults(Options &o, unsigned features)
-{
-    Config conf;
-    try {
-        conf = Config::parseFile(o.configPath);
-        if (features & kOptQuick) {
-            if (conf.getBool("", "quick", false))
-                setenv("XISA_QUICK", "1", 1);
-        }
-        if (features & kOptObs) {
-            o.dumpStats = conf.getBool("output", "stats", o.dumpStats);
-            o.statsJsonPath =
-                conf.getString("output", "stats_json", o.statsJsonPath);
-            o.traceOutPath =
-                conf.getString("output", "trace_out", o.traceOutPath);
-        }
-        if (features & kOptPerfJson) {
-            o.perfJsonPath =
-                conf.getString("output", "json", o.perfJsonPath);
-            o.sweepJsonPath =
-                conf.getString("output", "sweep_json", o.sweepJsonPath);
-        }
-        if (features & kOptFault) {
-            o.faultDrop = conf.getDouble("faults", "drop", o.faultDrop);
-            o.faultSeed = static_cast<uint64_t>(conf.getInt(
-                "faults", "seed",
-                static_cast<int64_t>(o.faultSeed)));
-            o.faultPartitionPeriod = static_cast<uint64_t>(
-                conf.getInt("faults", "partition_period",
-                            static_cast<int64_t>(
-                                o.faultPartitionPeriod)));
-            o.faultPartitionLen = static_cast<uint64_t>(
-                conf.getInt("faults", "partition_len",
-                            static_cast<int64_t>(o.faultPartitionLen)));
-            o.faultCrashes = static_cast<int>(
-                conf.getInt("crashes", "count", o.faultCrashes));
-            o.faultDownSeconds = conf.getDouble("crashes",
-                                                "down_seconds",
-                                                o.faultDownSeconds);
-            for (const std::string &ev :
-                 conf.getList("crashes", "plan"))
-                o.scriptedCrashes.push_back(
-                    parseCrashAt(ev, "[crashes] plan"));
-        }
-        conf.requireAllUsed();
-    } catch (const ConfigError &e) {
-        std::fprintf(stderr, "--config: %s\n", e.what());
-        std::exit(2);
-    }
-}
-
 } // namespace
 
 Options
@@ -142,18 +82,6 @@ parseCommonArgs(int argc, char **argv, unsigned features,
 {
     Options o;
     const char *prog = argc > 0 ? argv[0] : "bench";
-
-    if (features & kOptConfig) {
-        for (int i = 1; i < argc; ++i) {
-            std::string a = argv[i];
-            if (a == "--config" && i + 1 < argc)
-                o.configPath = argv[i + 1];
-            else if (a.rfind("--config=", 0) == 0)
-                o.configPath = a.substr(std::strlen("--config="));
-        }
-        if (!o.configPath.empty())
-            applyConfigDefaults(o, features);
-    }
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -192,9 +120,7 @@ parseCommonArgs(int argc, char **argv, unsigned features,
             }
         };
 
-        if ((features & kOptConfig) && name == "--config") {
-            val(); // consumed by the pre-pass
-        } else if ((features & kOptQuick) && name == "--quick") {
+        if ((features & kOptQuick) && name == "--quick") {
             setenv("XISA_QUICK", "1", 1);
         } else if ((features & kOptObs) && name == "--stats") {
             o.dumpStats = true;
@@ -253,8 +179,7 @@ parseCommonArgs(int argc, char **argv, unsigned features,
         }
     }
 
-    // --fault-down applies to scripted crashes regardless of flag (or
-    // conf/CLI) order.
+    // --fault-down applies to scripted crashes regardless of flag order.
     for (CrashEvent &ev : o.scriptedCrashes)
         ev.downSeconds = o.faultDownSeconds;
     if (!o.traceOutPath.empty())

@@ -1,25 +1,20 @@
 /**
  * @file
- * The shared command-line parser of the experiment harnesses.
- *
- * Every bench used to grow its own ad-hoc flag loop (fig06 peeled
- * --json/--sweep-json before the obs flags, the fault bench re-parsed
- * the obs flags inline, fig12 took no flags at all). parseCommonArgs()
- * replaces them: one flag grammar, selected per binary by a feature
- * mask, with one usage/exit-2 path for anything the binary did not
- * enable.
+ * The shared command-line parser of xisa_exp and the benches: one flag
+ * grammar, selected per binary by a feature mask, with one usage/exit-2
+ * path for anything the binary did not enable.
  *
  * Flags by feature:
- *   kOptObs      --stats, --stats-json FILE, --trace-out FILE
- *   kOptQuick    --quick (same as XISA_QUICK=1)
- *   kOptPerfJson --json FILE, --sweep-json FILE
- *   kOptFault    --fault-drop P, --fault-seed S, --fault-partition P,L
- *                --fault-crashes N, --fault-down SEC, --fault-crash=M@T
- *   kOptConfig   --config FILE: read defaults for the flags above from
- *                a .conf file ([output], [faults], [crashes], and the
- *                global `quick` key); explicit flags still win.
+ *   kOptObs       --stats, --stats-json FILE, --trace-out FILE
+ *   kOptQuick     --quick (same as XISA_QUICK=1)
+ *   kOptPerfJson  --json FILE, --sweep-json FILE
+ *   kOptFault     --fault-drop P, --fault-seed S, --fault-partition P,L
+ *                 --fault-crashes N, --fault-down SEC, --fault-crash=M@T
+ *   kOptSpecTools --print-spec, --list-workloads
  *
- * Both `--flag value` and `--flag=value` spellings are accepted.
+ * Both `--flag value` and `--flag=value` spellings are accepted. Options
+ * come from flags only: the experiment spec (exp/spec.hh) is the one
+ * reader of the `.conf` dialect.
  */
 
 #ifndef XISA_EXP_OPTIONS_HH
@@ -39,9 +34,8 @@ enum : unsigned {
     kOptQuick = 1u << 1,
     kOptPerfJson = 1u << 2,
     kOptFault = 1u << 3,
-    kOptConfig = 1u << 4,
     /** xisa_exp's own tool flags: --print-spec, --list-workloads. */
-    kOptSpecTools = 1u << 5,
+    kOptSpecTools = 1u << 4,
 };
 
 /** Parsed common options; fields outside the enabled features keep
@@ -62,8 +56,6 @@ struct Options {
     int faultCrashes = 2;
     double faultDownSeconds = 30.0;
     std::vector<CrashEvent> scriptedCrashes;
-    // kOptConfig
-    std::string configPath;
     // kOptSpecTools
     bool printSpec = false;
     bool listWorkloads = false;

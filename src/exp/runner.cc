@@ -71,18 +71,8 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
 
     // Pre-resolve refs/nodes once; the sweep only varies class/threads.
     std::vector<WorkloadRegistry::Resolved> resolved;
-    for (const std::string &ref : spec.workloads) {
+    for (const std::string &ref : spec.workloads)
         resolved.push_back(reg.resolve(ref));
-        if (!resolved.back().provider->threadCapable()) {
-            for (int t : threads)
-                if (t > 1)
-                    throw ConfigError(
-                        spec.source + ": workload '" +
-                        resolved.back().provider->name() +
-                        "' is serial-only but the thread sweep "
-                        "includes " + std::to_string(t));
-        }
-    }
     std::vector<NodeSpec> nodeSpecs;
     for (const std::string &isa : spec.isas)
         nodeSpecs.push_back(spec.cluster.makeNode(isa));
@@ -718,6 +708,25 @@ runServing(const ExperimentSpec &spec, const Options &opts)
 int
 runExperiment(const ExperimentSpec &spec, const Options &opts)
 {
+    // --json rows exist for overhead, rack and serving; --sweep-json's
+    // per-cell host times for overhead only. Refuse before any work
+    // rather than run and silently write nothing.
+    const bool rows = spec.kind == ExperimentKind::Overhead ||
+                      spec.kind == ExperimentKind::Rack ||
+                      spec.kind == ExperimentKind::Serving;
+    const char *unwritten = nullptr;
+    if (!opts.perfJsonPath.empty() && !rows)
+        unwritten = "--json";
+    else if (!opts.sweepJsonPath.empty() &&
+             spec.kind != ExperimentKind::Overhead)
+        unwritten = "--sweep-json";
+    if (unwritten) {
+        std::fprintf(stderr, "%s: %s is not written by kind = %s\n",
+                     spec.source.c_str(), unwritten,
+                     kindName(spec.kind));
+        return 2;
+    }
+
     switch (spec.kind) {
       case ExperimentKind::Overhead: return runOverhead(spec, opts);
       case ExperimentKind::Sustained: return runSustained(spec, opts);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "machine/node.hh"
 
@@ -266,8 +267,69 @@ ClusterSpec::simConfig() const
 
 namespace {
 
+/**
+ * The shared sections, one bit each. A kind reads exactly the sections
+ * its runner uses (kindSections), and serializeSpec writes exactly
+ * those, so requireAllUsed rejects a section the kind never reads. The
+ * kind-private sections ([os] for single, [traffic] and [failures] for
+ * serving) are read in their kind's case of parseExperiment.
+ */
+enum SectionBit : unsigned {
+    kNodes = 1u << 0,     ///< [node.*]
+    kParamSets = 1u << 1, ///< [paramset.*]
+    kMachines = 1u << 2,  ///< [machine.*]
+    kPools = 1u << 3,     ///< [pool.*]
+    kNet = 1u << 4,
+    kSim = 1u << 5,
+    kFaults = 1u << 6,
+    kCrashes = 1u << 7,
+    kTopology = 1u << 8,
+    kFooter = 1u << 9,
+};
+
+/** Read numeric `key` of `sec` into `v`, whose value is the default. */
+template <typename T>
 void
-parseClusterSections(Config &conf, ClusterSpec &c)
+read(const Config &conf, const std::string &sec, const char *key, T &v)
+{
+    if constexpr (std::is_floating_point_v<T>)
+        v = conf.getDouble(sec, key, v);
+    else
+        v = static_cast<T>(conf.getInt(sec, key, static_cast<int64_t>(v)));
+}
+
+unsigned
+kindSections(ExperimentKind k)
+{
+    switch (k) {
+      case ExperimentKind::Overhead: return kNodes | kParamSets;
+      case ExperimentKind::Single:
+        return kNodes | kParamSets | kNet | kFaults;
+      case ExperimentKind::Sustained:
+      case ExperimentKind::Rack:
+        return kNodes | kMachines | kPools | kNet | kSim | kFaults |
+               kCrashes | kTopology | kFooter;
+      case ExperimentKind::Serving:
+        return kNodes | kCrashes | kTopology | kFooter;
+    }
+    return 0;
+}
+
+void
+readParamSets(Config &conf, std::vector<ParamSetSpec> &out)
+{
+    for (const std::string &sec :
+         conf.sectionsWithPrefix("paramset.")) {
+        ParamSetSpec ps;
+        ps.name = sectionSuffix(sec);
+        for (const std::string &key : conf.keysOf(sec))
+            ps.params.set(key, conf.getString(sec, key, ""));
+        out.push_back(ps);
+    }
+}
+
+void
+readNodes(Config &conf, ClusterSpec &c)
 {
     for (const std::string &sec : conf.sectionsWithPrefix("node.")) {
         NodeOverride n;
@@ -276,26 +338,35 @@ parseClusterSections(Config &conf, ClusterSpec &c)
         if (n.base != "xeno" && n.base != "aether")
             specFail(conf, "[" + sec + "] base must be xeno or aether, "
                            "got '" + n.base + "'");
-        n.cores = static_cast<int>(conf.getInt(sec, "cores", 0));
-        n.freqGHz = conf.getDouble(sec, "freq_ghz", 0);
-        n.idleWatts = conf.getDouble(sec, "idle_watts", 0);
-        n.maxWatts = conf.getDouble(sec, "max_watts", 0);
-        n.memPenaltyCycles =
-            static_cast<int>(conf.getInt(sec, "mem_penalty", 0));
+        read(conf, sec, "cores", n.cores);
+        read(conf, sec, "freq_ghz", n.freqGHz);
+        read(conf, sec, "idle_watts", n.idleWatts);
+        read(conf, sec, "max_watts", n.maxWatts);
+        read(conf, sec, "mem_penalty", n.memPenaltyCycles);
         c.nodes.push_back(n);
     }
+}
+
+void
+readMachines(Config &conf, ClusterSpec &c)
+{
     for (const std::string &sec : conf.sectionsWithPrefix("machine.")) {
         MachineSpec m;
         m.name = sectionSuffix(sec);
         m.node = conf.requireString(sec, "node");
-        m.powerScale = conf.getDouble(sec, "power_scale", 1.0);
-        m.loadWeight = conf.getDouble(sec, "load_weight", 1.0);
+        read(conf, sec, "power_scale", m.powerScale);
+        read(conf, sec, "load_weight", m.loadWeight);
         if (m.node != "xeno" && m.node != "aether" &&
             !c.findNode(m.node))
             specFail(conf, "[" + sec + "] references unknown node '" +
                                m.node + "'");
         c.machines.push_back(m);
     }
+}
+
+void
+readPools(Config &conf, ClusterSpec &c)
+{
     for (const std::string &sec : conf.sectionsWithPrefix("pool.")) {
         PoolSpec p;
         p.name = sectionSuffix(sec);
@@ -310,8 +381,7 @@ parseClusterSections(Config &conf, ClusterSpec &c)
         p.baseline = conf.getBool(sec, "baseline", false);
         p.label = conf.getString(sec, "label", p.name);
         p.column = conf.getString(sec, "column", p.label);
-        p.columnWidth =
-            static_cast<int>(conf.getInt(sec, "column_width", 0));
+        read(conf, sec, "column_width", p.columnWidth);
         p.mkspLabel = conf.getString(sec, "mksp_label", p.name);
         p.shortLabel = conf.getString(sec, "short_label", p.name);
         c.pools.push_back(p);
@@ -324,87 +394,80 @@ parseClusterSections(Config &conf, ClusterSpec &c)
             specFail(conf, e.what());
         }
     }
+}
 
-    c.latencyUs = conf.getDouble("net", "latency_us", c.latencyUs);
-    c.gbitPerSec =
-        conf.getDouble("net", "gbit_per_sec", c.gbitPerSec);
+void
+readNet(Config &conf, ClusterSpec &c)
+{
+    read(conf, "net", "latency_us", c.latencyUs);
+    read(conf, "net", "gbit_per_sec", c.gbitPerSec);
+}
 
-    c.rebalancePeriod =
-        conf.getDouble("sim", "rebalance_period", c.rebalancePeriod);
-    c.migrationFixedSeconds = conf.getDouble(
-        "sim", "migration_fixed_seconds", c.migrationFixedSeconds);
-    c.workingSetMib =
-        conf.getDouble("sim", "working_set_mib", c.workingSetMib);
-    c.sleepFraction =
-        conf.getDouble("sim", "sleep_fraction", c.sleepFraction);
-    c.checkpointPeriod =
-        conf.getDouble("sim", "checkpoint_period", c.checkpointPeriod);
+void
+readSim(Config &conf, ClusterSpec &c)
+{
+    read(conf, "sim", "rebalance_period", c.rebalancePeriod);
+    read(conf, "sim", "migration_fixed_seconds", c.migrationFixedSeconds);
+    read(conf, "sim", "working_set_mib", c.workingSetMib);
+    read(conf, "sim", "sleep_fraction", c.sleepFraction);
+    read(conf, "sim", "checkpoint_period", c.checkpointPeriod);
+}
 
-    if (conf.hasSection("faults")) {
-        c.hasFaults = true;
-        FaultConfig &f = c.faults;
-        f.seed = static_cast<uint64_t>(conf.getInt(
-            "faults", "seed", static_cast<int64_t>(f.seed)));
-        f.dropProb = conf.getDouble("faults", "drop_prob", f.dropProb);
-        f.dupProb = conf.getDouble("faults", "dup_prob", f.dupProb);
-        f.spikeProb =
-            conf.getDouble("faults", "spike_prob", f.spikeProb);
-        f.spikeMaxUs =
-            conf.getDouble("faults", "spike_max_us", f.spikeMaxUs);
-        f.degradeFactor =
-            conf.getDouble("faults", "degrade_factor", f.degradeFactor);
-        f.degradePeriodMsgs = static_cast<uint64_t>(
-            conf.getInt("faults", "degrade_period",
-                        static_cast<int64_t>(f.degradePeriodMsgs)));
-        f.degradeLenMsgs = static_cast<uint64_t>(
-            conf.getInt("faults", "degrade_len",
-                        static_cast<int64_t>(f.degradeLenMsgs)));
-        f.partitionPeriodMsgs = static_cast<uint64_t>(
-            conf.getInt("faults", "partition_period",
-                        static_cast<int64_t>(f.partitionPeriodMsgs)));
-        f.partitionLenMsgs = static_cast<uint64_t>(
-            conf.getInt("faults", "partition_len",
-                        static_cast<int64_t>(f.partitionLenMsgs)));
-    }
+void
+readFaults(Config &conf, ClusterSpec &c)
+{
+    if (!conf.hasSection("faults"))
+        return;
+    c.hasFaults = true;
+    FaultConfig &f = c.faults;
+    read(conf, "faults", "seed", f.seed);
+    read(conf, "faults", "drop_prob", f.dropProb);
+    read(conf, "faults", "dup_prob", f.dupProb);
+    read(conf, "faults", "spike_prob", f.spikeProb);
+    read(conf, "faults", "spike_max_us", f.spikeMaxUs);
+    read(conf, "faults", "degrade_factor", f.degradeFactor);
+    read(conf, "faults", "degrade_period", f.degradePeriodMsgs);
+    read(conf, "faults", "degrade_len", f.degradeLenMsgs);
+    read(conf, "faults", "partition_period", f.partitionPeriodMsgs);
+    read(conf, "faults", "partition_len", f.partitionLenMsgs);
+}
 
-    if (conf.hasSection("topology")) {
-        TopologyConfig &t = c.topo;
-        t.machinesPerRack = static_cast<int>(conf.getInt(
-            "topology", "machines_per_rack", t.machinesPerRack));
-        t.racksPerPod = static_cast<int>(
-            conf.getInt("topology", "racks_per_pod", t.racksPerPod));
-        t.torOversub =
-            conf.getDouble("topology", "tor_oversub", t.torOversub);
-        t.aggOversub =
-            conf.getDouble("topology", "agg_oversub", t.aggOversub);
-        t.rackHopUs =
-            conf.getDouble("topology", "rack_hop_us", t.rackHopUs);
-        t.aggHopUs =
-            conf.getDouble("topology", "agg_hop_us", t.aggHopUs);
-        t.localityBias = conf.getDouble("topology", "locality_bias",
-                                        t.localityBias);
-        if (const char *err = topologyConfigError(t))
-            specFail(conf, std::string("[topology] ") + err);
-    }
+void
+readTopology(Config &conf, ClusterSpec &c)
+{
+    if (!conf.hasSection("topology"))
+        return;
+    TopologyConfig &t = c.topo;
+    read(conf, "topology", "machines_per_rack", t.machinesPerRack);
+    read(conf, "topology", "racks_per_pod", t.racksPerPod);
+    read(conf, "topology", "tor_oversub", t.torOversub);
+    read(conf, "topology", "agg_oversub", t.aggOversub);
+    read(conf, "topology", "rack_hop_us", t.rackHopUs);
+    read(conf, "topology", "agg_hop_us", t.aggHopUs);
+    read(conf, "topology", "locality_bias", t.localityBias);
+    if (const char *err = topologyConfigError(t))
+        specFail(conf, std::string("[topology] ") + err);
+}
 
-    if (conf.hasSection("crashes")) {
-        c.crashDownSeconds = conf.getDouble("crashes", "down_seconds",
-                                            c.crashDownSeconds);
-        for (const std::string &ev : conf.getList("crashes", "plan")) {
-            size_t at = ev.find('@');
-            if (at == std::string::npos)
-                specFail(conf, "[crashes] plan entries want "
-                               "MACHINE@SECONDS, got '" + ev + "'");
-            CrashSpec cs;
-            char *end = nullptr;
-            cs.machine = static_cast<int>(
-                std::strtol(ev.c_str(), &end, 10));
-            cs.time = std::strtod(ev.c_str() + at + 1, nullptr);
-            if (!end || *end != '@' || cs.machine < 0 || cs.time < 0)
-                specFail(conf, "[crashes] plan: malformed '" + ev +
-                                   "'");
-            c.crashPlan.push_back(cs);
-        }
+void
+readCrashes(Config &conf, ClusterSpec &c)
+{
+    if (!conf.hasSection("crashes"))
+        return;
+    read(conf, "crashes", "down_seconds", c.crashDownSeconds);
+    for (const std::string &ev : conf.getList("crashes", "plan")) {
+        size_t at = ev.find('@');
+        if (at == std::string::npos)
+            specFail(conf, "[crashes] plan entries want "
+                           "MACHINE@SECONDS, got '" + ev + "'");
+        CrashSpec cs;
+        char *end = nullptr;
+        cs.machine =
+            static_cast<int>(std::strtol(ev.c_str(), &end, 10));
+        cs.time = std::strtod(ev.c_str() + at + 1, nullptr);
+        if (!end || *end != '@' || cs.machine < 0 || cs.time < 0)
+            specFail(conf, "[crashes] plan: malformed '" + ev + "'");
+        c.crashPlan.push_back(cs);
     }
 }
 
@@ -424,16 +487,23 @@ validatePools(const Config &conf, const ExperimentSpec &s,
     if (!s.cluster.pools.front().baseline)
         specFail(conf, "the baseline pool must be declared first "
                        "(deltas are computed against it)");
-    if (needTwoMachines) {
-        for (const PoolSpec &p : s.cluster.pools) {
-            if (s.cluster.makePool(p).size() != 2)
-                specFail(conf,
-                         "pool '" + p.name +
-                             "': sustained experiments report "
-                             "per-machine energy for exactly 2 "
-                             "machines per pool");
-        }
+    for (const PoolSpec &p : s.cluster.pools) {
+        const size_t size = s.cluster.makePool(p).size();
+        if (needTwoMachines && size != 2)
+            specFail(conf, "pool '" + p.name +
+                               "': sustained experiments report "
+                               "per-machine energy for exactly 2 "
+                               "machines per pool");
+        // Every pool's ClusterSim runs the whole crash plan.
+        for (const CrashSpec &cs : s.cluster.crashPlan)
+            if (cs.machine >= static_cast<int>(size))
+                specFail(conf, "[crashes] plan names machine " +
+                                   std::to_string(cs.machine) +
+                                   " but pool '" + p.name + "' has " +
+                                   std::to_string(size) + " machines");
     }
+    if (!s.cluster.crashPlan.empty() && !(s.cluster.crashDownSeconds > 0))
+        specFail(conf, "[crashes] down_seconds must be > 0");
 }
 
 } // namespace
@@ -462,18 +532,28 @@ parseExperiment(Config &conf)
     s.figure = conf.requireString("", "figure");
     s.title = conf.requireString("", "title");
     s.benchName = conf.getString("", "bench_name", s.benchName);
-    s.footer = conf.getString("footer", "text", "");
 
-    for (const std::string &sec :
-         conf.sectionsWithPrefix("paramset.")) {
-        ParamSetSpec ps;
-        ps.name = sectionSuffix(sec);
-        for (const std::string &key : conf.keysOf(sec))
-            ps.params.set(key, conf.getString(sec, key, ""));
-        s.paramSets.push_back(ps);
-    }
-
-    parseClusterSections(conf, s.cluster);
+    const unsigned sections = kindSections(s.kind);
+    if (sections & kParamSets)
+        readParamSets(conf, s.paramSets);
+    if (sections & kNodes)
+        readNodes(conf, s.cluster);
+    if (sections & kMachines)
+        readMachines(conf, s.cluster);
+    if (sections & kPools)
+        readPools(conf, s.cluster);
+    if (sections & kNet)
+        readNet(conf, s.cluster);
+    if (sections & kSim)
+        readSim(conf, s.cluster);
+    if (sections & kFaults)
+        readFaults(conf, s.cluster);
+    if (sections & kTopology)
+        readTopology(conf, s.cluster);
+    if (sections & kCrashes)
+        readCrashes(conf, s.cluster);
+    if (sections & kFooter)
+        s.footer = conf.getString("footer", "text", "");
 
     switch (s.kind) {
       case ExperimentKind::Overhead: {
@@ -502,12 +582,10 @@ parseExperiment(Config &conf)
       }
       case ExperimentKind::Sustained: {
         s.sets = static_cast<int>(conf.requireInt("", "sets"));
-        s.setsQuick =
-            static_cast<int>(conf.getInt("", "sets_quick", 0));
+        read(conf, "", "sets_quick", s.setsQuick);
         s.seedBase =
             static_cast<uint64_t>(conf.requireInt("", "seed_base"));
-        s.jobsPerSet = static_cast<int>(
-            conf.getInt("", "jobs_per_set", s.jobsPerSet));
+        read(conf, "", "jobs_per_set", s.jobsPerSet);
         if (s.sets < 1 || s.jobsPerSet < 1)
             specFail(conf, "sets and jobs_per_set must be >= 1");
         validatePools(conf, s, /*needTwoMachines=*/true);
@@ -515,17 +593,13 @@ parseExperiment(Config &conf)
       }
       case ExperimentKind::Rack: {
         s.sets = static_cast<int>(conf.requireInt("", "sets"));
-        s.setsQuick =
-            static_cast<int>(conf.getInt("", "sets_quick", 0));
+        read(conf, "", "sets_quick", s.setsQuick);
         s.seedBase =
             static_cast<uint64_t>(conf.requireInt("", "seed_base"));
-        s.waves =
-            static_cast<int>(conf.getInt("", "waves", s.waves));
-        s.jobsPerWavePerMachine = static_cast<int>(
-            conf.getInt("", "jobs_per_wave_per_machine",
-                        s.jobsPerWavePerMachine));
-        s.poolMachines = static_cast<int>(
-            conf.getInt("", "pool_machines", s.poolMachines));
+        read(conf, "", "waves", s.waves);
+        read(conf, "", "jobs_per_wave_per_machine",
+             s.jobsPerWavePerMachine);
+        read(conf, "", "pool_machines", s.poolMachines);
         if (s.sets < 1 || s.waves < 1 ||
             s.jobsPerWavePerMachine < 1 || s.poolMachines < 1)
             specFail(conf, "sets, waves, jobs_per_wave_per_machine "
@@ -536,10 +610,8 @@ parseExperiment(Config &conf)
       case ExperimentKind::Single: {
         s.workloadRef = conf.requireString("", "workload");
         s.singleMachines = conf.requireString("", "machines");
-        s.startNode =
-            static_cast<int>(conf.getInt("", "start_node", 0));
-        s.quantum = static_cast<uint64_t>(conf.getInt(
-            "os", "quantum", static_cast<int64_t>(s.quantum)));
+        read(conf, "", "start_node", s.startNode);
+        read(conf, "os", "quantum", s.quantum);
         s.dsmMode = conf.getString("os", "dsm_mode", s.dsmMode);
         if (s.dsmMode != "migrate" && s.dsmMode != "remote")
             specFail(conf, "[os] dsm_mode must be migrate or remote, "
@@ -592,21 +664,17 @@ parseExperiment(Config &conf)
         const int nodeCount = static_cast<int>(refs.size());
 
         TrafficSpec &t = s.traffic;
-        t.seed = static_cast<uint64_t>(conf.getInt(
-            "traffic", "seed", static_cast<int64_t>(t.seed)));
-        t.clients = conf.getInt("traffic", "clients", t.clients);
-        t.requestHz =
-            conf.getDouble("traffic", "request_hz", t.requestHz);
-        t.duration = conf.getDouble("traffic", "duration", t.duration);
-        t.durationQuick = conf.getDouble("traffic", "duration_quick",
-                                         t.duration / 8.0);
-        t.zipfSkew = conf.getDouble("traffic", "zipf_skew", t.zipfSkew);
-        t.keySpace = conf.getInt("traffic", "key_space", t.keySpace);
-        t.getFraction =
-            conf.getDouble("traffic", "get_fraction", t.getFraction);
-        t.sloUs = conf.getDouble("traffic", "slo_us", t.sloUs);
-        t.shards =
-            static_cast<int>(conf.getInt("traffic", "shards", t.shards));
+        read(conf, "traffic", "seed", t.seed);
+        read(conf, "traffic", "clients", t.clients);
+        read(conf, "traffic", "request_hz", t.requestHz);
+        read(conf, "traffic", "duration", t.duration);
+        t.durationQuick = t.duration / 8.0;
+        read(conf, "traffic", "duration_quick", t.durationQuick);
+        read(conf, "traffic", "zipf_skew", t.zipfSkew);
+        read(conf, "traffic", "key_space", t.keySpace);
+        read(conf, "traffic", "get_fraction", t.getFraction);
+        read(conf, "traffic", "slo_us", t.sloUs);
+        read(conf, "traffic", "shards", t.shards);
         if (t.clients < 1)
             specFail(conf, "[traffic] clients must be >= 1");
         if (t.requestHz <= 0 || t.duration <= 0 || t.durationQuick <= 0)
@@ -699,11 +767,8 @@ parseExperiment(Config &conf)
                          "[failures] needs [topology] "
                          "machines_per_rack to define the failure "
                          "domains");
-            s.failureSeed = static_cast<uint64_t>(conf.getInt(
-                "failures", "seed",
-                static_cast<int64_t>(s.failureSeed)));
-            s.shedDeciles = static_cast<int>(conf.getInt(
-                "failures", "shed_deciles", s.shedDeciles));
+            read(conf, "failures", "seed", s.failureSeed);
+            read(conf, "failures", "shed_deciles", s.shedDeciles);
             if (s.shedDeciles < 1 || s.shedDeciles > 10)
                 specFail(conf,
                          "[failures] shed_deciles must be in [1, 10]");
@@ -764,13 +829,9 @@ parseExperiment(Config &conf)
       }
     }
 
-    if (s.kind != ExperimentKind::Serving &&
-        conf.hasSection("failures"))
-        specFail(conf, "[failures] is only meaningful for "
-                       "kind = serving");
-
     // Workload references (overhead + single) must resolve against the
-    // registry carrying this spec's parameter sets.
+    // registry carrying this spec's parameter sets, and an overhead
+    // thread sweep may only name thread-capable workloads.
     if (s.kind == ExperimentKind::Overhead ||
         s.kind == ExperimentKind::Single) {
         WorkloadRegistry reg = makeRegistry(s);
@@ -779,15 +840,28 @@ parseExperiment(Config &conf)
                 ? s.workloads
                 : std::vector<std::string>{s.workloadRef};
         for (const std::string &ref : refs) {
+            const WorkloadProvider *provider = nullptr;
             try {
-                reg.resolve(ref);
+                provider = reg.resolve(ref).provider;
             } catch (const ConfigError &e) {
                 specFail(conf, e.what());
             }
+            if (s.kind != ExperimentKind::Overhead ||
+                provider->threadCapable())
+                continue;
+            for (bool quick : {false, true})
+                for (int t : s.activeThreads(quick))
+                    if (t > 1)
+                        specFail(conf, "workload '" + provider->name() +
+                                           "' is serial-only but " +
+                                           (quick ? "threads_quick"
+                                                  : "threads") +
+                                           " includes " +
+                                           std::to_string(t));
         }
     }
 
-    conf.requireAllUsed();
+    conf.requireAllUsed(std::string("kind = ") + kindName(s.kind));
     return s;
 }
 
@@ -898,6 +972,9 @@ serializeSpec(const ExperimentSpec &s)
         break;
     }
 
+    // Exactly the sections parseExperiment reads for this kind, so the
+    // canonical text of a hand-built spec parses back too.
+    const unsigned sections = kindSections(s.kind);
     for (const ParamSetSpec &ps : s.paramSets) {
         w.section("paramset." + ps.name);
         for (const std::string &key : ps.params.keys())
@@ -954,18 +1031,23 @@ serializeSpec(const ExperimentSpec &s)
         }
     }
 
-    w.section("net");
-    w.kv("latency_us", s.cluster.latencyUs);
-    w.kv("gbit_per_sec", s.cluster.gbitPerSec);
+    if (sections & kNet) {
+        w.section("net");
+        w.kv("latency_us", s.cluster.latencyUs);
+        w.kv("gbit_per_sec", s.cluster.gbitPerSec);
+    }
 
-    w.section("sim");
-    w.kv("rebalance_period", s.cluster.rebalancePeriod);
-    w.kv("migration_fixed_seconds", s.cluster.migrationFixedSeconds);
-    w.kv("working_set_mib", s.cluster.workingSetMib);
-    w.kv("sleep_fraction", s.cluster.sleepFraction);
-    w.kv("checkpoint_period", s.cluster.checkpointPeriod);
+    if (sections & kSim) {
+        w.section("sim");
+        w.kv("rebalance_period", s.cluster.rebalancePeriod);
+        w.kv("migration_fixed_seconds",
+             s.cluster.migrationFixedSeconds);
+        w.kv("working_set_mib", s.cluster.workingSetMib);
+        w.kv("sleep_fraction", s.cluster.sleepFraction);
+        w.kv("checkpoint_period", s.cluster.checkpointPeriod);
+    }
 
-    if (s.cluster.hasFaults) {
+    if ((sections & kFaults) && s.cluster.hasFaults) {
         const FaultConfig &f = s.cluster.faults;
         w.section("faults");
         w.kv("seed", static_cast<uint64_t>(f.seed));
@@ -980,7 +1062,7 @@ serializeSpec(const ExperimentSpec &s)
         w.kv("partition_len", f.partitionLenMsgs);
     }
 
-    if (s.cluster.topo.machinesPerRack > 0) {
+    if ((sections & kTopology) && s.cluster.topo.machinesPerRack > 0) {
         const TopologyConfig &t = s.cluster.topo;
         w.section("topology");
         w.kv("machines_per_rack", t.machinesPerRack);
@@ -992,7 +1074,7 @@ serializeSpec(const ExperimentSpec &s)
         w.kv("locality_bias", t.localityBias);
     }
 
-    if (!s.cluster.crashPlan.empty()) {
+    if ((sections & kCrashes) && !s.cluster.crashPlan.empty()) {
         w.section("crashes");
         w.kv("down_seconds", s.cluster.crashDownSeconds);
         std::vector<std::string> plan;
@@ -1020,7 +1102,7 @@ serializeSpec(const ExperimentSpec &s)
         w.kv("dsm_mode", s.dsmMode);
     }
 
-    if (!s.footer.empty()) {
+    if ((sections & kFooter) && !s.footer.empty()) {
         w.section("footer");
         w.kv("text", s.footer);
     }

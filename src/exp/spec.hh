@@ -12,13 +12,14 @@
  * workloads at which parameters, how many seeded sets, and how the
  * rows are labelled.
  *
- * parseExperiment() applies defaults, validates cross-references
- * (every pool machine must name a [machine.*], every policy must be a
- * scheduler policy, ...), and finishes with requireAllUsed() so any
- * key no consumer understood fails with its file:line.
- * serializeSpec() emits the canonical conf text -- every effective
- * value, defaults materialized -- and parse(serialize(s)) == s, which
- * the round-trip tests pin.
+ * parseExperiment() reads only the sections the kind's runner uses,
+ * applies defaults, validates cross-references (every pool machine
+ * must name a [machine.*], every policy must be a scheduler policy,
+ * ...), and finishes with requireAllUsed() so any key the kind does not
+ * read fails with its file:line and the kind's name.
+ * serializeSpec() emits the canonical conf text -- the same sections,
+ * every effective value, defaults materialized -- and
+ * parse(serialize(s)) == s, which the round-trip tests pin.
  */
 
 #ifndef XISA_EXP_SPEC_HH

@@ -24,9 +24,7 @@ main(int argc, char **argv)
     Options opts = parseCommonArgs(
         argc, argv,
         kOptObs | kOptQuick | kOptPerfJson | kOptSpecTools,
-        "  FILE                 experiment .conf to run\n"
-        "  --print-spec         parse FILE, print the canonical spec\n"
-        "  --list-workloads     print the workload registry and exit\n");
+        "  FILE                 experiment .conf to run\n");
 
     try {
         if (opts.listWorkloads) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exp/config.hh"
 #include "exp/registry.hh"
 #include "exp/spec.hh"
@@ -384,6 +386,198 @@ TEST(Spec, CrashPlanParsed)
     EXPECT_DOUBLE_EQ(cc.crashes[0].time, 30);
     EXPECT_DOUBLE_EQ(cc.crashes[1].time, 55.5);
     EXPECT_DOUBLE_EQ(cc.crashes[1].downSeconds, 12);
+}
+
+TEST(Spec, SerialOnlyWorkloadRejectedInThreadSweep)
+{
+    auto parse = [](const std::string &sweep) {
+        Config c = Config::parseString("kind = overhead\nfigure = F\n"
+                                       "title = T\nworkloads = bzip\n" +
+                                           sweep,
+                                       "serial.conf");
+        return parseExperiment(c);
+    };
+    EXPECT_THROW(parse("threads = 1, 2\nthreads_quick = 1\n"),
+                 ConfigError);
+    EXPECT_THROW(parse("threads = 1\nthreads_quick = 1, 2\n"),
+                 ConfigError);
+    EXPECT_THROW(parse("threads = 1\n"), ConfigError); // quick: 1, 4
+    EXPECT_EQ(parse("threads = 1\nthreads_quick = 1\n").threads,
+              (std::vector<int>{1}));
+}
+
+TEST(Spec, CrashMachinesMustExistInEveryPool)
+{
+    auto parse = [](const std::string &kindKeys,
+                    const std::string &crashes) {
+        Config c = Config::parseString(
+            kindKeys +
+                "figure = F\ntitle = T\nsets = 1\nseed_base = 7\n"
+                "[machine.m]\nnode = xeno\n"
+                "[pool.a]\nmachines = m*2\n"
+                "policy = static-balanced\nbaseline = true\n"
+                "[pool.b]\nmachines = m*2\n"
+                "policy = dynamic-balanced\n"
+                "[crashes]\n" + crashes,
+            "crash.conf");
+        return parseExperiment(c);
+    };
+    for (const char *kind : {"kind = sustained\n", "kind = rack\n"}) {
+        EXPECT_EQ(parse(kind, "plan = 1@10\n").cluster.crashPlan.size(),
+                  1u);
+        EXPECT_THROW(parse(kind, "plan = 0@10, 2@20\n"), ConfigError)
+            << kind;
+        EXPECT_THROW(parse(kind, "down_seconds = 0\nplan = 0@10\n"),
+                     ConfigError)
+            << kind;
+    }
+}
+
+// --- Spec: each kind reads only its own sections --------------------
+
+struct ForeignSectionCase {
+    const char *name;    ///< gtest parameter name
+    const char *kind;
+    const char *section; ///< one section with exactly one key
+    const char *key;     ///< "section.key" as requireAllUsed names it
+};
+
+void
+PrintTo(const ForeignSectionCase &fc, std::ostream *os)
+{
+    *os << fc.name;
+}
+
+/** Minimal valid confs; a foreign section appended to one must fail. */
+std::string
+minimalConf(const std::string &kind)
+{
+    std::string head =
+        "kind = " + kind + "\nfigure = F\ntitle = T\n";
+    if (kind == "overhead")
+        return head + "workloads = cg\n";
+    if (kind == "single")
+        return head + "workload = cg\nmachines = xeno, aether\n";
+    if (kind == "serving")
+        return head + "machines = xeno*4\n";
+    return head + "sets = 1\nseed_base = 7\n"
+                  "[machine.m]\nnode = xeno\n"
+                  "[pool.a]\nmachines = m*2\n"
+                  "policy = static-balanced\nbaseline = true\n";
+}
+
+class ForeignSection : public ::testing::TestWithParam<ForeignSectionCase>
+{};
+
+TEST_P(ForeignSection, RejectedWithFileKeyLineAndKind)
+{
+    const ForeignSectionCase &fc = GetParam();
+    const std::string base = minimalConf(fc.kind);
+    // The key sits on the line after the section header.
+    const int keyLine = static_cast<int>(
+        std::count(base.begin(), base.end(), '\n') + 2);
+    Config c = Config::parseString(base + fc.section, "foreign.conf");
+    try {
+        parseExperiment(c);
+        FAIL() << fc.kind << " accepted " << fc.section;
+    } catch (const ConfigError &e) {
+        const std::string msg = e.what();
+        for (const std::string &want :
+             {std::string("foreign.conf"), std::string(fc.key),
+              "line " + std::to_string(keyLine),
+              "kind = " + std::string(fc.kind)})
+            EXPECT_NE(msg.find(want), std::string::npos)
+                << "missing '" << want << "' in: " << msg;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Spec, ForeignSection,
+    ::testing::Values(
+        ForeignSectionCase{"overhead_net", "overhead",
+                           "[net]\nlatency_us = 5\n", "net.latency_us"},
+        ForeignSectionCase{"overhead_sim", "overhead",
+                           "[sim]\nsleep_fraction = 0.5\n",
+                           "sim.sleep_fraction"},
+        ForeignSectionCase{"overhead_faults", "overhead",
+                           "[faults]\ndrop_prob = 0.1\n",
+                           "faults.drop_prob"},
+        ForeignSectionCase{"overhead_crashes", "overhead",
+                           "[crashes]\nplan = 0@1\n", "crashes.plan"},
+        ForeignSectionCase{"overhead_topology", "overhead",
+                           "[topology]\nmachines_per_rack = 2\n",
+                           "topology.machines_per_rack"},
+        ForeignSectionCase{"overhead_footer", "overhead",
+                           "[footer]\ntext = x\n", "footer.text"},
+        ForeignSectionCase{"overhead_machine", "overhead",
+                           "[machine.m]\nnode = xeno\n",
+                           "machine.m.node"},
+        ForeignSectionCase{"overhead_pool", "overhead",
+                           "[pool.p]\npolicy = static-balanced\n",
+                           "pool.p.policy"},
+        ForeignSectionCase{"single_sim", "single",
+                           "[sim]\nsleep_fraction = 0.5\n",
+                           "sim.sleep_fraction"},
+        ForeignSectionCase{"single_crashes", "single",
+                           "[crashes]\nplan = 0@1\n", "crashes.plan"},
+        ForeignSectionCase{"single_topology", "single",
+                           "[topology]\nmachines_per_rack = 2\n",
+                           "topology.machines_per_rack"},
+        ForeignSectionCase{"single_footer", "single",
+                           "[footer]\ntext = x\n", "footer.text"},
+        ForeignSectionCase{"single_machine", "single",
+                           "[machine.m]\nnode = xeno\n",
+                           "machine.m.node"},
+        ForeignSectionCase{"single_pool", "single",
+                           "[pool.p]\npolicy = static-balanced\n",
+                           "pool.p.policy"},
+        ForeignSectionCase{"serving_net", "serving",
+                           "[net]\nlatency_us = 5\n", "net.latency_us"},
+        ForeignSectionCase{"serving_sim", "serving",
+                           "[sim]\nsleep_fraction = 0.5\n",
+                           "sim.sleep_fraction"},
+        ForeignSectionCase{"serving_faults", "serving",
+                           "[faults]\ndrop_prob = 0.1\n",
+                           "faults.drop_prob"},
+        ForeignSectionCase{"serving_machine", "serving",
+                           "[machine.m]\nnode = xeno\n",
+                           "machine.m.node"},
+        ForeignSectionCase{"serving_pool", "serving",
+                           "[pool.p]\npolicy = static-balanced\n",
+                           "pool.p.policy"},
+        ForeignSectionCase{"sustained_paramset", "sustained",
+                           "[paramset.big]\nclass = B\n",
+                           "paramset.big.class"},
+        ForeignSectionCase{"rack_paramset", "rack",
+                           "[paramset.big]\nclass = B\n",
+                           "paramset.big.class"},
+        ForeignSectionCase{"serving_paramset", "serving",
+                           "[paramset.big]\nclass = B\n",
+                           "paramset.big.class"}),
+    [](const ::testing::TestParamInfo<ForeignSectionCase> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(Spec, CanonicalTextWritesOnlyTheKindsSections)
+{
+    auto canon = [](const std::string &kind) {
+        Config c = Config::parseString(minimalConf(kind), kind);
+        return serializeSpec(parseExperiment(c));
+    };
+    EXPECT_EQ(canon("overhead").find("\n["), std::string::npos);
+    const std::string single = canon("single");
+    EXPECT_NE(single.find("\n[net]\n"), std::string::npos);
+    EXPECT_NE(single.find("\n[os]\n"), std::string::npos);
+    EXPECT_EQ(single.find("\n[sim]\n"), std::string::npos);
+    const std::string serving = canon("serving");
+    EXPECT_NE(serving.find("\n[traffic]\n"), std::string::npos);
+    EXPECT_EQ(serving.find("\n[net]\n"), std::string::npos);
+    EXPECT_EQ(serving.find("\n[sim]\n"), std::string::npos);
+    for (const char *kind : {"sustained", "rack"}) {
+        const std::string text = canon(kind);
+        EXPECT_NE(text.find("\n[net]\n"), std::string::npos) << kind;
+        EXPECT_NE(text.find("\n[sim]\n"), std::string::npos) << kind;
+    }
 }
 
 // --- Spec: serialize round-trip -------------------------------------

@@ -18,10 +18,13 @@ baseline (bench/baselines/BENCH_interp.json):
     it cannot be eroded by repeatedly re-baselining on slower runs --
     dropping below the floor fails no matter what the baseline says.
 
-With --conf EXPERIMENT.conf the fresh JSON is additionally checked
-against the experiment spec it claims to implement: the row set must be
-exactly the conf's (workloads x isas x classes x threads) sweep for the
-JSON's mode, so the runner's rows match the spec.
+With --conf CANON.conf the fresh JSON is additionally checked against
+the experiment spec it claims to implement: the row set must be exactly
+the spec's (workloads x isas x classes x threads) sweep for the JSON's
+mode, so the runner's rows match the spec. CANON.conf is the canonical
+spec that `xisa_exp --print-spec EXPERIMENT.conf` writes -- every
+default materialized, so this tool neither parses the full conf dialect
+nor repeats the spec's defaults; other files are refused.
 
 Serving-kind JSONs (rows keyed by "scenario", from serving confs) are
 gated differently: the deterministic counts
@@ -47,11 +50,9 @@ Exit status: 0 ok, 1 regression/mismatch, 2 usage error.
 
 import argparse
 import json
-import os
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import xisa_conf
+CANON_HEADER = "# canonical spec (xisa_exp --print-spec)"
 
 
 def load(path):
@@ -68,42 +69,54 @@ def row_key(row):
 
 
 def parse_conf(conf_path):
+    """{section: {key: value}} of a canonical spec. Its values are bare
+    words or "..." strings with JSON-compatible escapes; it has no
+    comments, macros or single quotes."""
     try:
-        return xisa_conf.parse_file(conf_path)
-    except (OSError, xisa_conf.ConfError) as e:
+        with open(conf_path) as f:
+            lines = f.read().splitlines()
+        if lines[:1] != [CANON_HEADER]:
+            raise ValueError("not a canonical spec (want the output of "
+                             "xisa_exp --print-spec)")
+        conf = {"": {}}
+        section = conf[""]
+        for line in filter(None, lines[1:]):
+            if line.startswith("["):
+                section = conf.setdefault(line[1:-1], {})
+                continue
+            key, _, value = line.partition(" = ")
+            if value.startswith('"'):
+                value = json.loads(value, strict=False)
+            section[key] = value
+        return conf
+    except (OSError, ValueError) as e:
         print(f"check_perf: cannot read {conf_path}: {e}",
               file=sys.stderr)
         sys.exit(2)
 
 
+def items(value):
+    return [v.strip() for v in value.split(",")]
+
+
 def conf_cells(conf, conf_path, mode):
-    """The (workload, isa, class, threads) sweep an overhead conf
+    """The (workload, isa, class, threads) sweep an overhead spec
     describes, in the JSON's spelling."""
-    if conf.get("", "kind") != "overhead":
+    spec = conf[""]
+    if spec["kind"] != "overhead":
         print(f"check_perf: {conf_path}: --conf wants an overhead or "
               "serving experiment", file=sys.stderr)
         sys.exit(2)
 
     def isa_label(ref):
-        base = ref
-        node = conf.sections.get(f"node.{ref}")
-        if node is not None:
-            base = node.get("base", ref)
-        return {"aether": "Aether64", "xeno": "Xeno64"}.get(base, ref)
+        base = conf.get(f"node.{ref}", {}).get("base", ref)
+        return {"aether": "Aether64", "xeno": "Xeno64"}[base]
 
-    def sweep(key, quick_key, default, quick_default):
-        full = conf.get_list("", key) or default
-        if mode != "quick":
-            return full
-        return conf.get_list("", quick_key) or quick_default
-
-    workloads = [w.split("@")[0].strip()
-                 for w in conf.get_list("", "workloads")]
-    isas = [isa_label(i)
-            for i in (conf.get_list("", "isas") or ["aether", "xeno"])]
-    classes = sweep("classes", "classes_quick", ["A", "B", "C"], ["A"])
-    threads = [int(t) for t in sweep("threads", "threads_quick",
-                                     ["1", "2", "4", "8"], ["1", "4"])]
+    quick = "_quick" if mode == "quick" else ""
+    workloads = [w.split("@")[0] for w in items(spec["workloads"])]
+    isas = [isa_label(i) for i in items(spec["isas"])]
+    classes = items(spec["classes" + quick])
+    threads = [int(t) for t in items(spec["threads" + quick])]
     return {(w, i, c, t) for w in workloads for i in isas
             for c in classes for t in threads}
 
@@ -180,13 +193,13 @@ def check_fleet(fresh, base, args, failures):
 
 
 def conf_scenarios(conf, conf_path):
-    """The scenario set a serving conf's runner emits."""
-    if conf.get("", "kind") != "serving":
+    """The scenario set a serving spec's runner emits."""
+    if conf[""]["kind"] != "serving":
         print(f"check_perf: {conf_path}: serving JSON but conf kind is "
-              f"{conf.get('', 'kind')!r}", file=sys.stderr)
+              f"{conf['']['kind']!r}", file=sys.stderr)
         sys.exit(2)
     want = {"static"}
-    if conf.get_list("traffic", "migrate_plan"):
+    if "migrate_plan" in conf["traffic"]:
         want.add("migrate")
     return want
 
@@ -264,9 +277,9 @@ def main():
                     help="absolute scheduler-event throughput floor "
                          "for fleet JSONs; below it the gate fails "
                          "regardless of the baseline")
-    ap.add_argument("--conf", metavar="FILE",
-                    help="experiment .conf whose sweep the fresh rows "
-                         "must match exactly")
+    ap.add_argument("--conf", metavar="CANON",
+                    help="canonical spec (xisa_exp --print-spec output) "
+                         "whose sweep the fresh rows must match exactly")
     args = ap.parse_args()
 
     fresh = load(args.fresh)
