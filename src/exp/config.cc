@@ -106,6 +106,14 @@ Config::fail(int line, const std::string &msg) const
     throw ConfigError(name_ + ": " + msg);
 }
 
+void
+Config::failAt(const std::string &section, const std::string &key,
+               const std::string &msg) const
+{
+    const ConfEntry *e = findEntry(section, key);
+    fail(e ? e->line : 0, msg);
+}
+
 Config
 Config::parseFile(const std::string &path)
 {

@@ -92,6 +92,12 @@ class Config
     int64_t requireInt(const std::string &section,
                        const std::string &key) const;
 
+    /** Throw a ConfigError naming the file and the line of
+     *  `section.key` (the file alone when the key is absent). */
+    [[noreturn]] void failAt(const std::string &section,
+                             const std::string &key,
+                             const std::string &msg) const;
+
     /** "section.key (line N)" for every key no getter touched. */
     std::vector<std::string> unusedKeys() const;
     /** Throw a ConfigError listing every untouched key; a non-empty

@@ -343,7 +343,7 @@ runRack(const ExperimentSpec &spec, const Options &opts)
     JobProfileTable table = JobProfileTable::calibrate();
     const bool quick = quickMode();
     const ClusterSpec &cl = spec.cluster;
-    const int numSets = spec.activeSets(quick);
+    const size_t sets = static_cast<size_t>(spec.activeSets(quick));
 
     std::printf("\n%-22s %14s %14s %10s %10s %8s\n", "rack mix",
                 "energy(kJ)", "makespan(s)", "dE", "dEDP", "migr");
@@ -356,23 +356,42 @@ runRack(const ExperimentSpec &spec, const Options &opts)
     std::vector<PoolRow> poolRows;
     uint64_t schedEvents = 0;
     double baseEnergy = 0, baseEdp = 0;
-    std::unique_ptr<ClusterSim> lastSim;
+
+    // One cell per (pool, set), pool-major. Each cell owns its jobs and
+    // ClusterSim; only the last keeps its sim, for --stats-json.
+    struct RackCell {
+        ClusterResult result;
+        uint64_t events = 0;
+        std::unique_ptr<ClusterSim> sim;
+    };
+    const size_t numCells = cl.pools.size() * sets;
     const double t0 = wallNow();
-    for (const PoolSpec &pool : cl.pools) {
+    std::vector<RackCell> cells = runSweep(numCells, [&](size_t i) {
+        const PoolSpec &pool = cl.pools[i / sets];
+        auto jobs = makePeriodicSet(
+            spec.seedBase + static_cast<uint64_t>(i % sets), spec.waves,
+            spec.jobsPerWavePerMachine * spec.poolMachines);
+        auto sim = std::make_unique<ClusterSim>(cl.makePool(pool), table,
+                                                cl.simConfig());
+        RackCell cell;
+        cell.result = sim->run(jobs, pool.policy);
+        cell.events = sim->eventsProcessed();
+        if (i + 1 == numCells)
+            cell.sim = std::move(sim);
+        return cell;
+    });
+
+    // Ordered merge: the same adds in the same order as a serial loop.
+    for (size_t p = 0; p < cl.pools.size(); ++p) {
+        const PoolSpec &pool = cl.pools[p];
         RunningStat energy, makespan, edp, migr;
-        for (int set = 0; set < numSets; ++set) {
-            auto jobs = makePeriodicSet(
-                spec.seedBase + static_cast<uint64_t>(set), spec.waves,
-                spec.jobsPerWavePerMachine * spec.poolMachines);
-            auto sim = std::make_unique<ClusterSim>(
-                cl.makePool(pool), table, cl.simConfig());
-            ClusterResult r = sim->run(jobs, pool.policy);
-            energy.add(r.totalEnergy);
-            makespan.add(r.makespan);
-            edp.add(r.edp);
-            migr.add(r.migrations);
-            schedEvents += sim->eventsProcessed();
-            lastSim = std::move(sim);
+        for (size_t set = 0; set < sets; ++set) {
+            const RackCell &cell = cells[p * sets + set];
+            energy.add(cell.result.totalEnergy);
+            makespan.add(cell.result.makespan);
+            edp.add(cell.result.edp);
+            migr.add(cell.result.migrations);
+            schedEvents += cell.events;
         }
         if (pool.baseline) {
             baseEnergy = energy.mean();
@@ -405,9 +424,7 @@ runRack(const ExperimentSpec &spec, const Options &opts)
             return 1;
         }
         writeJsonHeader(f, spec.benchName.c_str(), quick,
-                        sweepThreads(),
-                        cl.pools.size() * static_cast<size_t>(numSets),
-                        wallSeconds);
+                        sweepThreads(), numCells, wallSeconds);
         std::fprintf(f,
                      "  \"sched_events\": %llu,\n"
                      "  \"events_per_sec\": %.2f,\n"
@@ -429,8 +446,7 @@ runRack(const ExperimentSpec &spec, const Options &opts)
                      opts.perfJsonPath.c_str());
     }
 
-    if (lastSim)
-        writeOutputs(opts, lastSim->statRegistry());
+    writeOutputs(opts, cells.back().sim->statRegistry());
     return 0;
 }
 

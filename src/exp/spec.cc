@@ -298,6 +298,20 @@ read(const Config &conf, const std::string &sec, const char *key, T &v)
         v = static_cast<T>(conf.getInt(sec, key, static_cast<int64_t>(v)));
 }
 
+/** The set sweep of sustained/rack: `sets`, `sets_quick`, `seed_base`.
+ *  `sets_quick = 0` (the default) runs `sets` under XISA_QUICK too. */
+void
+readSets(const Config &conf, ExperimentSpec &s)
+{
+    s.sets = static_cast<int>(conf.requireInt("", "sets"));
+    read(conf, "", "sets_quick", s.setsQuick);
+    if (s.setsQuick < 0)
+        conf.failAt("", "sets_quick",
+                    "key 'sets_quick' must be >= 0 (0 runs 'sets'), "
+                    "got " + std::to_string(s.setsQuick));
+    s.seedBase = static_cast<uint64_t>(conf.requireInt("", "seed_base"));
+}
+
 unsigned
 kindSections(ExperimentKind k)
 {
@@ -581,10 +595,7 @@ parseExperiment(Config &conf)
         break;
       }
       case ExperimentKind::Sustained: {
-        s.sets = static_cast<int>(conf.requireInt("", "sets"));
-        read(conf, "", "sets_quick", s.setsQuick);
-        s.seedBase =
-            static_cast<uint64_t>(conf.requireInt("", "seed_base"));
+        readSets(conf, s);
         read(conf, "", "jobs_per_set", s.jobsPerSet);
         if (s.sets < 1 || s.jobsPerSet < 1)
             specFail(conf, "sets and jobs_per_set must be >= 1");
@@ -592,10 +603,7 @@ parseExperiment(Config &conf)
         break;
       }
       case ExperimentKind::Rack: {
-        s.sets = static_cast<int>(conf.requireInt("", "sets"));
-        read(conf, "", "sets_quick", s.setsQuick);
-        s.seedBase =
-            static_cast<uint64_t>(conf.requireInt("", "seed_base"));
+        readSets(conf, s);
         read(conf, "", "waves", s.waves);
         read(conf, "", "jobs_per_wave_per_machine",
              s.jobsPerWavePerMachine);

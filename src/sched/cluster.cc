@@ -34,6 +34,21 @@ perturbedClusterConfig(ClusterSim::Config cfg)
             check::SchedulePerturber::envSeed() ^ 0x636c7573ull);
     return cfg;
 }
+
+/** `jobs` if already in arrival order, else a stable-sorted copy of it
+ *  in `copy` -- the same sequence either way. */
+const std::vector<Job> &
+inArrivalOrder(const std::vector<Job> &jobs, std::vector<Job> &copy)
+{
+    auto byArrival = [](const Job &a, const Job &b) {
+        return a.arrival < b.arrival;
+    };
+    if (std::is_sorted(jobs.begin(), jobs.end(), byArrival))
+        return jobs;
+    copy = jobs;
+    std::stable_sort(copy.begin(), copy.end(), byArrival);
+    return copy;
+}
 } // namespace
 
 const char *
@@ -199,7 +214,11 @@ struct ClusterSim::Run {
     bool useHeap;
 
     std::vector<MachineState> st;
-    std::vector<Job> arrivals;
+    /** The job set in arrival order: the caller's own vector when it
+     *  is already sorted (the set generators emit it so), else a
+     *  stable-sorted copy held in `sortedJobs`. */
+    std::vector<Job> sortedJobs;
+    const std::vector<Job> &arrivals;
     size_t next = 0; ///< arrival cursor
     double now = 0;
     double nextTick;
@@ -405,7 +424,8 @@ struct ClusterSim::Run {
     Run(ClusterSim &sim, const std::vector<Job> &jobs, Policy p)
         : S(sim), policy(p), isDynamic(sim.dynamic(p)),
           useHeap(!sim.slowSched_), st(sim.machines_.size()),
-          arrivals(jobs), nextTick(sim.cfg_.rebalancePeriod),
+          arrivals(inArrivalOrder(jobs, sortedJobs)),
+          nextTick(sim.cfg_.rebalancePeriod),
           crashes(sim.cfg_.crashes),
           nextCkpt(sim.cfg_.checkpointPeriod),
           downUntil(sim.machines_.size(), 0.0),
@@ -443,10 +463,6 @@ struct ClusterSim::Run {
                         (m >> 6)] |= bit;
             }
         }
-        std::stable_sort(arrivals.begin(), arrivals.end(),
-                         [](const Job &a, const Job &b) {
-                             return a.arrival < b.arrival;
-                         });
         // Expand correlated outages before the crash sort: Pdu events
         // become per-machine CrashEvents (atomic down at the outage
         // instant, staggered seeded reboots) so every crash/restart

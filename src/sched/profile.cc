@@ -1,8 +1,7 @@
 #include "sched/profile.hh"
 
 #include "compiler/compile.hh"
-#include "machine/node.hh"
-#include "os/os.hh"
+#include "exp/sweep.hh"
 #include "util/logging.hh"
 
 namespace xisa {
@@ -10,23 +9,26 @@ namespace xisa {
 JobProfileTable
 JobProfileTable::calibrate()
 {
+    // One cell per workload: compile it, then run it on each ISA. A
+    // cell holds one binary and one container at a time; finer
+    // (workload, ISA) cells would let the two runs of the largest
+    // workload fill two workers' heaps at once. The sweep returns in
+    // index order, so the table does not depend on the worker count.
+    using Secs = std::array<double, kNumIsas>;
+    const std::vector<WorkloadId> wls = allWorkloads();
+    const std::vector<Secs> secs = exp::runSweep(wls.size(), [&](size_t w) {
+        MultiIsaBinary bin =
+            compileModule(buildWorkload(wls[w], ProblemClass::A, 1));
+        Secs s{};
+        for (const NodeSpec &node : {makeXenoServer(), makeAetherServer()})
+            s[static_cast<int>(node.isa)] =
+                exp::runSingleNode(bin, node).makespanSeconds;
+        return s;
+    });
+
     JobProfileTable table;
-    for (WorkloadId wl : allWorkloads()) {
-        Module mod = buildWorkload(wl, ProblemClass::A, 1);
-        MultiIsaBinary bin = compileModule(std::move(mod));
-        std::array<double, kNumIsas> secs{};
-        for (int node = 0; node < kNumIsas; ++node) {
-            OsConfig cfg;
-            cfg.nodes = {node == 0 ? makeXenoServer()
-                                   : makeAetherServer()};
-            ReplicatedOS os(bin, cfg);
-            os.load(0);
-            OsRunResult res = os.run();
-            IsaId isa = cfg.nodes[0].isa;
-            secs[static_cast<int>(isa)] = res.makespanSeconds;
-        }
-        table.base_[wl] = secs;
-    }
+    for (size_t w = 0; w < wls.size(); ++w)
+        table.base_[wls[w]] = secs[w];
     return table;
 }
 

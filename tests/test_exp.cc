@@ -433,6 +433,39 @@ TEST(Spec, CrashMachinesMustExistInEveryPool)
     }
 }
 
+TEST(Spec, NegativeSetsQuickRejectedWithFileLine)
+{
+    auto parse = [](const std::string &kindKeys,
+                    const std::string &setsQuick) {
+        Config c = Config::parseString(
+            kindKeys +
+                "figure = F\ntitle = T\nsets = 3\nseed_base = 7\n" +
+                setsQuick +
+                "[machine.m]\nnode = xeno\n"
+                "[pool.a]\nmachines = m*2\n"
+                "policy = static-balanced\nbaseline = true\n",
+            "sets.conf");
+        return parseExperiment(c);
+    };
+    for (const char *kind : {"kind = sustained\n", "kind = rack\n"}) {
+        try {
+            parse(kind, "sets_quick = -1\n");
+            ADD_FAILURE() << kind << "negative sets_quick accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("sets.conf:6:"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("sets_quick"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(parse(kind, "sets_quick = 0\n").activeSets(true), 3)
+            << kind;
+        EXPECT_EQ(parse(kind, "sets_quick = 2\n").activeSets(true), 2)
+            << kind;
+    }
+}
+
 // --- Spec: each kind reads only its own sections --------------------
 
 struct ForeignSectionCase {

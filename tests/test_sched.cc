@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <string>
 
 #include "machine/node.hh"
 #include "sched/cluster.hh"
@@ -44,6 +45,27 @@ TEST(JobProfile, ArmIsSlowerThanX86ForEveryWorkload)
         EXPECT_GT(arm, 1.5 * x86) << workloadName(wl);
         EXPECT_LT(arm, 8.0 * x86) << workloadName(wl);
     }
+}
+
+TEST(Profile, CalibrateIsWorkerCountInvariant)
+{
+    const char *prev = std::getenv("XISA_BENCH_THREADS");
+    const std::string saved = prev ? prev : "";
+    auto calibrateWith = [](const char *threads) {
+        setenv("XISA_BENCH_THREADS", threads, 1);
+        return JobProfileTable::calibrate();
+    };
+    const JobProfileTable one = calibrateWith("1");
+    const JobProfileTable four = calibrateWith("4");
+    if (prev)
+        setenv("XISA_BENCH_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("XISA_BENCH_THREADS");
+
+    for (WorkloadId wl : allWorkloads())
+        for (IsaId isa : {IsaId::Xeno64, IsaId::Aether64})
+            EXPECT_EQ(one.baseSeconds(wl, isa), four.baseSeconds(wl, isa))
+                << workloadName(wl) << " on " << isaName(isa);
 }
 
 TEST(JobProfile, ClassesAndThreadsScaleSensibly)
@@ -211,6 +233,28 @@ TEST(ClusterSim, ParkedQueueDrawsSleepPowerNotActiveIdle)
     EXPECT_NEAR(r.energyJoules[1],
                 cfg.sleepFraction * idleB * r.makespan,
                 1e-9 * idleB * r.makespan);
+}
+
+/** A job set handed over out of arrival order runs exactly as the
+ *  sorted set: the in-order fast path and the sorted copy agree. */
+TEST(ClusterSim, UnsortedArrivalsRunAsSorted)
+{
+    std::vector<Job> sorted;
+    for (int i = 0; i < 40; ++i)
+        sorted.push_back(mkJob(i, 1 + i % 4, 0.5e-3 * i));
+    std::vector<Job> reversed(sorted.rbegin(), sorted.rend());
+    ClusterSim::Config cfg;
+    cfg.rebalancePeriod = 4e-3;
+    auto run = [&](const std::vector<Job> &jobs) {
+        ClusterSim sim({customX86(8, 3.0), customX86(2, 1.0)}, table(),
+                       cfg);
+        return sim.run(jobs, Policy::DynamicBalanced);
+    };
+    ClusterResult a = run(sorted);
+    ClusterResult b = run(reversed);
+    EXPECT_EQ(a.energyJoules, b.energyJoules);
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.migrations, b.migrations);
 }
 
 /** Regression for dropped back-to-back failures: a crash aimed at a
