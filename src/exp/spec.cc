@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "machine/node.hh"
 
@@ -698,10 +699,15 @@ parseExperiment(Config &conf)
             specFail(conf, "[traffic] slo_us must be > 0");
         if (t.shards < 1 || t.shards > 256)
             specFail(conf, "[traffic] shards must be in [1, 256]");
-        if (static_cast<double>(t.clients) * t.requestHz * t.duration >
-            2e7)
-            specFail(conf, "[traffic] clients * request_hz * duration "
-                           "exceeds 20M requests");
+        // The generator sizes its stream up front, so cap the volume
+        // of the quick run as well as the full one.
+        const std::pair<const char *, double> runs[] = {
+            {"duration", t.duration}, {"duration_quick", t.durationQuick}};
+        for (const auto &[key, secs] : runs)
+            if (static_cast<double>(t.clients) * t.requestHz * secs > 2e7)
+                conf.failAt("traffic", key,
+                            "[traffic] clients * request_hz * " +
+                                std::string(key) + " exceeds 20M requests");
         if (conf.has("traffic", "placement")) {
             for (const std::string &p :
                  conf.getList("traffic", "placement")) {

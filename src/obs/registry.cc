@@ -1,5 +1,6 @@
 #include "obs/registry.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 
@@ -142,7 +143,29 @@ Histogram::add(double v)
     }
     ++count_;
     sum_ += v;
-    ++buckets_[bucketIndex(v)];
+    const int idx = bucketIndex(v);
+    if (idx == INT32_MIN) {
+        ++nonPositive_;
+        return;
+    }
+    if (buckets_.empty()) {
+        base_ = idx;
+    } else if (idx < base_) {
+        // Extend downwards by at least the current span, so a stream
+        // that keeps undercutting its minimum costs amortized O(1) per
+        // new bucket. No positive double maps below kMinIndex (the
+        // smallest subnormal is 0.5 * 2^-1073).
+        constexpr int kMinIndex = -1073 * kSubBuckets;
+        const int span = static_cast<int>(buckets_.size());
+        const int newBase = std::max(kMinIndex, std::min(idx, base_ - span));
+        buckets_.insert(buckets_.begin(),
+                        static_cast<size_t>(base_ - newBase), 0);
+        base_ = newBase;
+    }
+    const size_t k = static_cast<size_t>(idx - base_);
+    if (k >= buckets_.size())
+        buckets_.resize(k + 1);
+    ++buckets_[k];
 }
 
 double
@@ -164,12 +187,13 @@ Histogram::percentile(double q) const
         std::ceil(q * static_cast<double>(count_)));
     if (rank < 1)
         rank = 1;
-    uint64_t seen = 0;
-    for (const auto &[idx, n] : buckets_) {
-        seen += n;
+    uint64_t seen = nonPositive_;
+    if (seen >= rank)
+        return min_;
+    for (size_t k = 0; k < buckets_.size(); ++k) {
+        seen += buckets_[k];
         if (seen >= rank) {
-            if (idx == INT32_MIN)
-                return min_;
+            const int idx = base_ + static_cast<int>(k);
             // Midpoint of the bucket, clamped to the observed range.
             double mid = 0.5 * (bucketLow(idx) + bucketHigh(idx));
             if (mid < min_)
@@ -186,6 +210,8 @@ void
 Histogram::reset()
 {
     buckets_.clear();
+    base_ = 0;
+    nonPositive_ = 0;
     count_ = 0;
     sum_ = 0.0;
     min_ = 0.0;

@@ -31,6 +31,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace xisa::obs {
 
@@ -123,7 +124,10 @@ class Gauge : public Stat
  * Geometric-bucket histogram (HDR-style): positive samples land in one
  * of kSubBuckets sub-buckets per power of two, bounding the relative
  * error of percentile estimates to ~1/kSubBuckets. Exact count, sum,
- * min, and max are tracked alongside the buckets.
+ * min, and max are tracked alongside the buckets. The buckets are one
+ * flat array spanning the buckets seen so far, so add() indexes
+ * instead of searching; <= 0 and non-finite samples share a separate
+ * bucket that ranks below every positive one.
  */
 class Histogram : public Stat
 {
@@ -156,7 +160,10 @@ class Histogram : public Stat
     static double bucketLow(int idx);
     static double bucketHigh(int idx);
 
-    std::map<int, uint64_t> buckets_;
+    /** buckets_[k] counts bucket index base_ + k. */
+    std::vector<uint64_t> buckets_;
+    int base_ = 0;
+    uint64_t nonPositive_ = 0; ///< samples <= 0 or non-finite
     uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;

@@ -127,6 +127,15 @@ ZipfGenerator::sample(Rng &rng) const
 
 // --- Stream generation ----------------------------------------------
 
+void
+ZipfGenerator::skip(Rng &rng) const
+{
+    if (theta_ <= 0.0 || n_ <= 1)
+        rng.below(static_cast<uint64_t>(n_));
+    else
+        rng.next();
+}
+
 std::vector<Request>
 generateRequests(const TrafficConfig &cfg)
 {
@@ -135,31 +144,72 @@ generateRequests(const TrafficConfig &cfg)
     if (rate <= 0.0 || cfg.durationSeconds <= 0.0 || cfg.shards < 1 ||
         cfg.keySpace < 1)
         return out;
-    out.reserve(static_cast<size_t>(rate * cfg.durationSeconds * 1.1) +
-                16);
 
+    // Request i consumes, in order: one uniform for its inter-arrival
+    // gap, the Zipf draw for its rank, one uniform for GET/SET. Each
+    // batch first skips the Rng over those draws serially, recording
+    // its state at every chunk start; then fills the chunks in
+    // parallel (arrival holds the gap); then prefix-sums the gaps in
+    // order and stops at the first arrival >= duration. Every field is
+    // the expression the one-Rng loop computes, so the stream is
+    // identical to it draw for draw.
     Rng rng(cfg.seed);
-    ZipfGenerator zipf(cfg.keySpace, cfg.zipfSkew);
+    const ZipfGenerator zipf(cfg.keySpace, cfg.zipfSkew);
     const uint64_t keySpace = static_cast<uint64_t>(cfg.keySpace);
     const uint64_t shards = static_cast<uint64_t>(cfg.shards);
     double t = 0.0;
     for (;;) {
-        // Poisson arrivals: exponential inter-arrival by inverse CDF.
-        t += -detLog(1.0 - rng.uniform()) / rate;
-        if (t >= cfg.durationSeconds)
-            break;
-        Request r;
-        r.arrival = t;
-        // Scramble the popularity rank so hot keys spread over the key
-        // space (and thus over shards) instead of clustering at 0.
-        const uint64_t rank = static_cast<uint64_t>(zipf.sample(rng));
-        r.key = static_cast<uint32_t>(mix64(rank) % keySpace);
-        r.shard = static_cast<uint16_t>(mix64(r.key) % shards);
-        r.isGet = rng.uniform() < cfg.getFraction;
-        r.decile = static_cast<uint8_t>(rank * 10 / keySpace);
-        out.push_back(r);
+        // Size for the Poisson count of the rest of the run at mean +
+        // 8 sigma; in the rare run where that is short, the scan below
+        // runs off the end and the loop sizes another batch.
+        const double mean = rate * (cfg.durationSeconds - t);
+        const size_t batch =
+            static_cast<size_t>(mean + 8.0 * std::sqrt(mean)) + 1;
+        const size_t first = out.size();
+        out.resize(first + batch);
+
+        const size_t chunks = (batch + kRequestChunk - 1) / kRequestChunk;
+        std::vector<Rng> starts;
+        starts.reserve(chunks);
+        for (size_t i = 0; i < batch; ++i) {
+            if (i % kRequestChunk == 0)
+                starts.push_back(rng);
+            rng.next();
+            zipf.skip(rng);
+            rng.next();
+        }
+
+        exp::runSweep(chunks, [&](size_t c) {
+            Rng local = starts[c];
+            const size_t lo = first + c * kRequestChunk;
+            const size_t hi = std::min(lo + kRequestChunk, first + batch);
+            for (size_t i = lo; i < hi; ++i) {
+                Request &r = out[i];
+                // Poisson arrivals: exponential inter-arrival by
+                // inverse CDF.
+                r.arrival = -detLog(1.0 - local.uniform()) / rate;
+                // Scramble the popularity rank so hot keys spread over
+                // the key space (and thus over shards) instead of
+                // clustering at 0.
+                const uint64_t rank =
+                    static_cast<uint64_t>(zipf.sample(local));
+                r.key = static_cast<uint32_t>(mix64(rank) % keySpace);
+                r.shard = static_cast<uint16_t>(mix64(r.key) % shards);
+                r.isGet = local.uniform() < cfg.getFraction;
+                r.decile = static_cast<uint8_t>(rank * 10 / keySpace);
+            }
+            return 0;
+        });
+
+        for (size_t i = first; i < out.size(); ++i) {
+            t += out[i].arrival;
+            if (t >= cfg.durationSeconds) {
+                out.resize(i);
+                return out;
+            }
+            out[i].arrival = t;
+        }
     }
-    return out;
 }
 
 // --- ServingProfile -------------------------------------------------
@@ -189,36 +239,41 @@ ServingProfile::calibrate()
     MultiIsaBinary bin = compileModule(mod);
     const double ops = 16384.0 * classScale(ProblemClass::A);
 
+    // Cells 0 and 1 run the binary on one node of each ISA and yield
+    // its makespan. Cell 2 is one real cross-ISA live migration of the
+    // serving binary and yields the pause between trapping at a
+    // migration point and resuming on the other ISA: what a shard sees
+    // when moved mid-traffic.
     const NodeSpec presets[2] = {makeXenoServer(), makeAetherServer()};
-    for (const NodeSpec &nspec : presets) {
-        OsRunResult r = exp::runSingleNode(bin, nspec);
-        const double perOp =
-            r.makespanSeconds / ops * kServiceScale;
-        const size_t i = static_cast<size_t>(nspec.isa);
+    const std::vector<double> secs = exp::runSweep(3, [&](size_t c) {
+        if (c < 2)
+            return exp::runSingleNode(bin, presets[c]).makespanSeconds;
+        ReplicatedOS os(bin, OsConfig::dualServer());
+        os.load(0);
+        bool fired = false;
+        os.onQuantum = [&](ReplicatedOS &self) {
+            if (fired || self.totalInstrs() < 100000)
+                return;
+            fired = true;
+            self.migrateProcess(1);
+        };
+        os.run();
+        double pause = 0.0;
+        for (const MigrationEvent &ev : os.migrations())
+            pause += ev.resumeTime - ev.trapTime;
+        return pause;
+    });
+
+    for (size_t c = 0; c < 2; ++c) {
+        const double perOp = secs[c] / ops * kServiceScale;
+        const size_t i = static_cast<size_t>(presets[c].isa);
         // The kernel interleaves GETs and SETs; split the measured
         // average with a fixed ratio (SETs write slot + value).
         p.getSeconds[i] = perOp * 0.85;
         p.setSeconds[i] = perOp * 1.35;
     }
-
-    // One real cross-ISA live migration of the serving binary: the
-    // pause between trapping at a migration point and resuming on the
-    // other ISA is what a shard sees when moved mid-traffic.
-    ReplicatedOS os(bin, OsConfig::dualServer());
-    os.load(0);
-    bool fired = false;
-    os.onQuantum = [&](ReplicatedOS &self) {
-        if (fired || self.totalInstrs() < 100000)
-            return;
-        fired = true;
-        self.migrateProcess(1);
-    };
-    os.run();
-    double pause = 0.0;
-    for (const MigrationEvent &ev : os.migrations())
-        pause += ev.resumeTime - ev.trapTime;
-    if (pause > 0.0)
-        p.migrateSeconds = pause * kDisruptScale;
+    if (secs[2] > 0.0)
+        p.migrateSeconds = secs[2] * kDisruptScale;
     // Losing the node costs roughly an order of magnitude more than a
     // planned move: failure detection, directory reconstruction, and
     // journal replay on the survivor (the PR 5 recovery path).
@@ -329,12 +384,18 @@ ServingSim::run(const std::vector<Request> &reqs)
         return false;
     };
 
+    double firstCrash = -1.0;
+    for (const NodeCrash &c : cfg_.crashes)
+        if (firstCrash < 0.0 || c.time < firstCrash)
+            firstCrash = c.time;
+
     // Simulate the shards in parallel. Every per-request quantity is a
     // pure function of the stream and the config, and the workers
     // write into disjoint slots of the index-ordered arrays, so the
     // worker count cannot change a single byte of the result.
     std::vector<double> latSeconds(n);
-    std::vector<double> finishAt(n);
+    /** 1 if the request completed after the first crash. */
+    std::vector<uint8_t> afterCrash(n);
     std::vector<int32_t> servedOn(n);
     struct ShardAgg {
         uint64_t migrations = 0, failovers = 0;
@@ -433,7 +494,6 @@ ServingSim::run(const std::vector<Request> &reqs)
                            evs[ei].time <= r.arrival)
                         apply(evs[ei++]);
                     latSeconds[idx] = 0.0;
-                    finishAt[idx] = r.arrival;
                     servedOn[idx] = -1;
                     continue;
                 }
@@ -458,7 +518,7 @@ ServingSim::run(const std::vector<Request> &reqs)
                     if (coldLeft > 0)
                         --coldLeft;
                     latSeconds[idx] = done - r.arrival;
-                    finishAt[idx] = done;
+                    afterCrash[idx] = firstCrash >= 0.0 && done > firstCrash;
                     servedOn[idx] = node;
                     break;
                 }
@@ -478,11 +538,6 @@ ServingSim::run(const std::vector<Request> &reqs)
     }
     migrations_.add(res.migrations);
     failovers_.add(res.failovers);
-
-    double firstCrash = -1.0;
-    for (const NodeCrash &c : cfg_.crashes)
-        if (firstCrash < 0.0 || c.time < firstCrash)
-            firstCrash = c.time;
 
     auto inBrownout = [&](double t) {
         for (const BrownoutWindow &w : cfg_.brownouts)
@@ -523,7 +578,7 @@ ServingSim::run(const std::vector<Request> &reqs)
         const int nd = servedOn[i];
         ++nodeServed_[static_cast<size_t>(nd)];
         ++res.servedByNode[static_cast<size_t>(nd)];
-        if (firstCrash >= 0.0 && finishAt[i] > firstCrash)
+        if (afterCrash[i])
             ++res.servedByNodeAfterCrash[static_cast<size_t>(nd)];
         res.violationsByDecile[i * 10 / (n ? n : 1)] =
             res.sloViolations;

@@ -17,12 +17,17 @@
  * tail latency under "migrate under load" can be compared against a
  * static placement.
  *
- * Determinism is the contract: the stream is generated sequentially
- * from one Rng, shards simulate independently (runSweep-parallel, but
- * every per-request quantity depends only on the stream and the
- * config), and the final accounting pass -- histogram fills, SLO
- * counters -- runs in global request order. Same seed therefore means
- * byte-identical stats output regardless of XISA_BENCH_THREADS. The
+ * Determinism is the contract. The stream is the one a sequential
+ * loop over one Rng draws, built in three passes: a serial skip pass
+ * advances the Rng over each request's draws and records its state at
+ * fixed chunk starts, a runSweep-parallel fill pass computes every
+ * request of a chunk from that state, and a serial scan prefix-sums
+ * the inter-arrival gaps in order and cuts the stream at the duration.
+ * Shards simulate independently (runSweep-parallel, but every
+ * per-request quantity depends only on the stream and the config), and
+ * the final accounting pass -- histogram fills, SLO counters -- runs
+ * in global request order. Same seed therefore means byte-identical
+ * stats output regardless of XISA_BENCH_THREADS. The
  * few transcendentals involved (exp/log/pow for the samplers) are
  * implemented here from IEEE-exact primitives instead of libm, so the
  * bytes also hold across platforms and libm versions.
@@ -32,6 +37,7 @@
 #define XISA_TRAFFIC_TRAFFIC_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -95,6 +101,9 @@ class ZipfGenerator
   public:
     ZipfGenerator(int64_t n, double theta);
     int64_t sample(Rng &rng) const;
+    /** Advance `rng` exactly as sample() does, without computing the
+     *  rank. */
+    void skip(Rng &rng) const;
 
   private:
     int64_t n_ = 1;
@@ -102,7 +111,12 @@ class ZipfGenerator
     double alpha_ = 0, zetan_ = 0, eta_ = 0, zetaHalf_ = 0;
 };
 
-/** Generate the full request stream, sorted by arrival time. */
+/** Requests per parallel fill cell of generateRequests (a constant of
+ *  the algorithm, not a knob: the stream never depends on it). */
+inline constexpr size_t kRequestChunk = 16384;
+
+/** Generate the full request stream, sorted by arrival time. The
+ *  result is the same for every XISA_BENCH_THREADS. */
 std::vector<Request> generateRequests(const TrafficConfig &cfg);
 
 /**
@@ -129,9 +143,9 @@ struct ServingProfile {
     /**
      * Execute REDIS class A through the interpreter on each ISA for
      * the per-op costs, and measure migrateSeconds from a real
-     * cross-ISA ReplicatedOS live migration of that binary.
-     * Deterministic (pure simulation); one-time cost of a few
-     * interpreter runs.
+     * cross-ISA ReplicatedOS live migration of that binary. The three
+     * runs are the cells of one runSweep. Deterministic (pure
+     * simulation); one-time cost of a few interpreter runs.
      */
     static ServingProfile calibrate();
     /** Fixed plausible values (Xeno ~25 us GET, Aether ~3x); for unit

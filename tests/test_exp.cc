@@ -712,6 +712,42 @@ TEST(Spec, ServingRejectsBadTraffic)
     expectFail("[crashes]\nplan = 7@0.5\n");
 }
 
+TEST(Spec, ServingVolumeCapCoversQuickDuration)
+{
+    // 1M requests/s: duration = 2 is 2M requests, well inside the 20M
+    // cap, but duration_quick = 30 would make XISA_QUICK=1 generate
+    // 30M. Both durations are capped, each naming its own line.
+    auto parse = [](const std::string &durations) {
+        Config c = Config::parseString(
+            "kind = serving\nfigure = F\ntitle = T\n"
+            "machines = xeno, aether\n"
+            "[traffic]\nclients = 1000000\nrequest_hz = 1\n" +
+                durations,
+            "cap.conf");
+        return parseExperiment(c);
+    };
+    auto expectCap = [&](const std::string &durations,
+                         const std::string &where) {
+        try {
+            parse(durations);
+            ADD_FAILURE() << durations << "accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(where),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectCap("duration = 2\nduration_quick = 30\n",
+              "cap.conf:9: [traffic] clients * request_hz * "
+              "duration_quick exceeds 20M requests");
+    expectCap("duration_quick = 1\nduration = 21\n",
+              "cap.conf:9: [traffic] clients * request_hz * duration "
+              "exceeds 20M requests");
+    EXPECT_EQ(parse("duration = 2\nduration_quick = 20\n")
+                  .traffic.activeDuration(true),
+              20.0);
+}
+
 // --- Spec: [topology] -----------------------------------------------
 
 TEST(Spec, TopologyParsedAndValidated)

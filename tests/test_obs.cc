@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <climits>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "obs/trace.hh"
 #include "testprogs.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/stats.hh"
 
 namespace xisa {
@@ -305,6 +307,179 @@ TEST(StatRegistry, HistogramExactPercentilePowerLaw)
     for (int e = 0; e < 16; ++e)
         samples.push_back(static_cast<double>(1 << e));
     expectTailPercentilesExact(samples, "power-law");
+}
+
+/** The histogram as a std::map from bucket index to count, with a
+ *  sentinel index for <= 0 / non-finite samples: the reference the
+ *  flat-bucket obs::Histogram must match byte for byte. */
+class MapHistogram
+{
+  public:
+    void
+    add(double v)
+    {
+        if (count_ == 0) {
+            min_ = max_ = v;
+        } else {
+            if (v < min_)
+                min_ = v;
+            if (v > max_)
+                max_ = v;
+        }
+        ++count_;
+        sum_ += v;
+        ++buckets_[bucketIndex(v)];
+    }
+
+    double
+    percentile(double q) const
+    {
+        if (count_ == 0)
+            return 0.0;
+        if (q <= 0.0)
+            return min_;
+        if (q >= 1.0)
+            return max_;
+        uint64_t rank = static_cast<uint64_t>(
+            std::ceil(q * static_cast<double>(count_)));
+        if (rank < 1)
+            rank = 1;
+        uint64_t seen = 0;
+        for (const auto &[idx, n] : buckets_) {
+            seen += n;
+            if (seen >= rank) {
+                if (idx == INT32_MIN)
+                    return min_;
+                double mid = 0.5 * (bucketLow(idx) + bucketLow(idx + 1));
+                if (mid < min_)
+                    mid = min_;
+                if (mid > max_)
+                    mid = max_;
+                return mid;
+            }
+        }
+        return max_;
+    }
+
+    std::string
+    print(bool json) const
+    {
+        const double mn = count_ ? min_ : 0.0;
+        const double mx = count_ ? max_ : 0.0;
+        const double mean =
+            count_ ? sum_ / static_cast<double>(count_) : 0.0;
+        std::ostringstream os;
+        if (json)
+            os << "{\"count\":" << count_ << ",\"sum\":" << sum_
+               << ",\"min\":" << mn << ",\"max\":" << mx
+               << ",\"mean\":" << mean << ",\"p50\":" << percentile(0.5)
+               << ",\"p90\":" << percentile(0.9)
+               << ",\"p99\":" << percentile(0.99) << "}";
+        else
+            os << "count=" << count_ << " mean=" << mean << " min=" << mn
+               << " p50=" << percentile(0.5) << " p90=" << percentile(0.9)
+               << " max=" << mx;
+        return os.str();
+    }
+
+  private:
+    static constexpr int kSub = 32;
+
+    static int
+    bucketIndex(double v)
+    {
+        if (!(v > 0.0) || !std::isfinite(v))
+            return INT32_MIN;
+        int e = 0;
+        const double m = std::frexp(v, &e);
+        int sub = static_cast<int>((m - 0.5) * 2.0 * kSub);
+        if (sub >= kSub)
+            sub = kSub - 1;
+        return e * kSub + sub;
+    }
+
+    static double
+    bucketLow(int idx)
+    {
+        const int e =
+            idx >= 0 ? idx / kSub : -((-idx + kSub - 1) / kSub);
+        const int sub = idx - e * kSub;
+        return std::ldexp(0.5 + static_cast<double>(sub) / (2.0 * kSub),
+                          e);
+    }
+
+    std::map<int, uint64_t> buckets_;
+    uint64_t count_ = 0;
+    double sum_ = 0.0, min_ = 0.0, max_ = 0.0;
+};
+
+std::string
+printed(const obs::Histogram &h, bool json)
+{
+    std::ostringstream os;
+    h.printValue(os, json);
+    return os.str();
+}
+
+TEST(StatRegistry, HistogramFlatBucketsMatchMapOracle)
+{
+    // Zero, negatives, NaN, +-inf, subnormals and log-uniform values
+    // over [1e-300, 1e300], fed shuffled, ascending and descending (a
+    // descending stream grows the flat buckets downwards every time).
+    Rng rng(2024);
+    std::vector<double> values = {0.0, -0.0, -1.0, -1e300,
+                                  std::nan(""), HUGE_VAL, -HUGE_VAL,
+                                  4.9e-324, 2.2e-308, 1e-300, 1e300};
+    for (int i = 0; i < 4000; ++i)
+        values.push_back(std::pow(10.0, rng.uniform(-300.0, 300.0)));
+    for (int i = 0; i < 400; ++i)
+        values.push_back(rng.uniform(1.0, 2.0)); // many per bucket
+    std::vector<double> shuffled = values;
+    for (size_t i = shuffled.size() - 1; i > 0; --i)
+        std::swap(shuffled[i], shuffled[rng.below(i + 1)]);
+    // NaN has no place in a sorted order: the ascending feed starts
+    // with it and the descending one ends with it.
+    std::vector<double> ascending;
+    for (double v : values)
+        if (!std::isnan(v))
+            ascending.push_back(v);
+    std::sort(ascending.begin(), ascending.end());
+    ascending.insert(ascending.begin(), std::nan(""));
+    std::vector<double> descending(ascending.rbegin(), ascending.rend());
+
+    std::vector<double> qs = {0.0, 1e-9, 1e-4, 0.001, 0.01, 0.5, 0.9,
+                              0.99, 0.999, 0.9999, 1.0 - 1e-12, 1.0};
+    for (int i = 0; i < 200; ++i)
+        qs.push_back(rng.uniform());
+
+    obs::StatRegistry reg;
+    obs::Histogram h(reg, "h");
+    const std::pair<const char *, const std::vector<double> *> orders[] =
+        {{"shuffled", &shuffled}, {"ascending", &ascending},
+         {"descending", &descending}, {"shuffled again", &shuffled}};
+    for (const auto &[name, feed] : orders) {
+        // Every order after the first reuses `h` after reset().
+        h.reset();
+        MapHistogram oracle;
+        EXPECT_EQ(printed(h, true), oracle.print(true)) << name;
+        // Check partway through as well as at the end.
+        for (size_t i = 0; i < feed->size(); ++i) {
+            h.add((*feed)[i]);
+            oracle.add((*feed)[i]);
+            if (i != feed->size() / 3 && i + 1 != feed->size())
+                continue;
+            for (double q : qs) {
+                const double got = h.percentile(q);
+                const double want = oracle.percentile(q);
+                EXPECT_TRUE(got == want ||
+                            (std::isnan(got) && std::isnan(want)))
+                    << name << " q=" << q << ": " << got << " vs "
+                    << want;
+            }
+            EXPECT_EQ(printed(h, true), oracle.print(true)) << name;
+            EXPECT_EQ(printed(h, false), oracle.print(false)) << name;
+        }
+    }
 }
 
 TEST(StatRegistry, ScopedStatEpochReadsDeltas)

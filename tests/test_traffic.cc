@@ -174,6 +174,154 @@ TEST(Traffic, SameSeedSameStreamDifferentSeedDiffers)
     EXPECT_TRUE(differs);
 }
 
+/** Sets XISA_BENCH_THREADS for one scope and restores it after. */
+class ThreadsGuard
+{
+  public:
+    explicit ThreadsGuard(const char *threads)
+    {
+        if (const char *prev = std::getenv("XISA_BENCH_THREADS"))
+            saved_ = prev;
+        setenv("XISA_BENCH_THREADS", threads, 1);
+    }
+    ~ThreadsGuard()
+    {
+        if (saved_.empty())
+            unsetenv("XISA_BENCH_THREADS");
+        else
+            setenv("XISA_BENCH_THREADS", saved_.c_str(), 1);
+    }
+
+  private:
+    std::string saved_;
+};
+
+/** The generator as one sequential loop over one Rng: the reference
+ *  the parallel skip/fill/scan generator must reproduce exactly. */
+std::vector<Request>
+serialReference(const TrafficConfig &cfg)
+{
+    std::vector<Request> out;
+    const double rate = cfg.totalRate();
+    if (rate <= 0.0 || cfg.durationSeconds <= 0.0 || cfg.shards < 1 ||
+        cfg.keySpace < 1)
+        return out;
+    Rng rng(cfg.seed);
+    traffic::ZipfGenerator zipf(cfg.keySpace, cfg.zipfSkew);
+    const uint64_t keySpace = static_cast<uint64_t>(cfg.keySpace);
+    const uint64_t shards = static_cast<uint64_t>(cfg.shards);
+    double t = 0.0;
+    for (;;) {
+        t += -traffic::detLog(1.0 - rng.uniform()) / rate;
+        if (t >= cfg.durationSeconds)
+            break;
+        Request r;
+        r.arrival = t;
+        const uint64_t rank = static_cast<uint64_t>(zipf.sample(rng));
+        r.key = static_cast<uint32_t>(traffic::mix64(rank) % keySpace);
+        r.shard = static_cast<uint16_t>(traffic::mix64(r.key) % shards);
+        r.isGet = rng.uniform() < cfg.getFraction;
+        r.decile = static_cast<uint8_t>(rank * 10 / keySpace);
+        out.push_back(r);
+    }
+    return out;
+}
+
+void
+expectSameStream(const std::vector<Request> &want,
+                 const std::vector<Request> &got, const std::string &what)
+{
+    ASSERT_EQ(want.size(), got.size()) << what;
+    for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(want[i].arrival, got[i].arrival) << what << " #" << i;
+        ASSERT_EQ(want[i].key, got[i].key) << what << " #" << i;
+        ASSERT_EQ(want[i].shard, got[i].shard) << what << " #" << i;
+        ASSERT_EQ(want[i].isGet, got[i].isGet) << what << " #" << i;
+        ASSERT_EQ(want[i].decile, got[i].decile) << what << " #" << i;
+    }
+}
+
+TEST(Traffic, GenerateRequestsMatchesSerialReference)
+{
+    struct Case {
+        std::string name;
+        TrafficConfig cfg;
+        long count = -1; ///< requests the stream must hold, if >= 0
+    };
+    std::vector<Case> cases;
+    cases.push_back({"small", smallConfig()});
+    TrafficConfig c = smallConfig();
+    c.zipfSkew = 0.0; // uniform keys: the Rng::below() path
+    cases.push_back({"uniform", c});
+    c = smallConfig();
+    c.keySpace = 1;
+    cases.push_back({"one key", c});
+    c = smallConfig();
+    c.shards = 1;
+    cases.push_back({"one shard", c});
+
+    // Durations that cut the stream at exactly 0, 1 and kRequestChunk
+    // +-1 requests: request k arrives at ref[k].arrival, and a stream
+    // of duration d keeps the arrivals < d.
+    TrafficConfig longCfg = smallConfig();
+    longCfg.durationSeconds = 2.0; // ~40k requests
+    const std::vector<Request> longRef = serialReference(longCfg);
+    ASSERT_GT(longRef.size(), traffic::kRequestChunk + 1);
+    for (size_t k : {size_t{0}, size_t{1}, traffic::kRequestChunk - 1,
+                     traffic::kRequestChunk, traffic::kRequestChunk + 1}) {
+        c = longCfg;
+        c.durationSeconds = longRef[k].arrival;
+        cases.push_back({std::to_string(k) + " requests", c,
+                         static_cast<long>(k)});
+    }
+
+    // A stream longer than its up-front size takes the refill path. At
+    // a mean of 0.015 requests, mean + 8 sigma = 0.995 sizes one
+    // request, so find a seed whose stream holds two.
+    c = smallConfig();
+    c.clients = 1;
+    c.requestHz = 1.0;
+    c.durationSeconds = 0.015;
+    c.keySpace = 16;
+    while (serialReference(c).size() < 2)
+        ++c.seed;
+    cases.push_back({"refill", c});
+
+    for (const char *threads : {"1", "4"}) {
+        ThreadsGuard guard(threads);
+        for (const Case &k : cases) {
+            const std::vector<Request> want = serialReference(k.cfg);
+            if (k.count >= 0) {
+                EXPECT_EQ(want.size(), static_cast<size_t>(k.count));
+            }
+            expectSameStream(want, traffic::generateRequests(k.cfg),
+                             k.name + " at T=" + threads);
+        }
+    }
+}
+
+TEST(Traffic, CalibrateIsWorkerCountInvariant)
+{
+    ServingProfile one, four;
+    {
+        ThreadsGuard guard("1");
+        one = ServingProfile::calibrate();
+    }
+    {
+        ThreadsGuard guard("4");
+        four = ServingProfile::calibrate();
+    }
+    EXPECT_EQ(one.getSeconds, four.getSeconds);
+    EXPECT_EQ(one.setSeconds, four.setSeconds);
+    EXPECT_EQ(one.migrateSeconds, four.migrateSeconds);
+    EXPECT_EQ(one.failoverSeconds, four.failoverSeconds);
+    EXPECT_EQ(one.coldFactor, four.coldFactor);
+    EXPECT_EQ(one.coldRequests, four.coldRequests);
+    // The migration cell really measured a pause.
+    EXPECT_NE(one.migrateSeconds,
+              ServingProfile::synthetic().migrateSeconds);
+}
+
 /** Two nodes: fast xeno (0), slow aether (1). */
 ServingConfig
 twoNodeConfig(int shards)
