@@ -32,7 +32,6 @@ using xisa::exp::banner;
 using xisa::exp::quickMode;
 using xisa::exp::runSingleNode;
 
-using xisa::exp::kOptFault;
 using xisa::exp::kOptObs;
 using xisa::exp::kOptQuick;
 using xisa::exp::Options;

@@ -33,16 +33,6 @@ usageExit(const char *prog, unsigned features, const char *extraUsage,
         std::fprintf(stderr,
                      "  --json FILE          perf-smoke row JSON\n"
                      "  --sweep-json FILE    per-cell host-time JSON\n");
-    if (features & kOptFault)
-        std::fprintf(stderr,
-                     "  --fault-drop P       single drop probability\n"
-                     "  --fault-seed S       fault/crash plan seed\n"
-                     "  --fault-partition P,L  every P messages, L "
-                     "sends fail fast\n"
-                     "  --fault-crashes N    machine crashes per run\n"
-                     "  --fault-down SEC     crash downtime, seconds\n"
-                     "  --fault-crash=M@T    crash machine M at T s "
-                     "(repeatable)\n");
     if (features & kOptSpecTools)
         std::fprintf(stderr,
                      "  --print-spec         parse, print the "
@@ -52,26 +42,6 @@ usageExit(const char *prog, unsigned features, const char *extraUsage,
     if (extraUsage)
         std::fprintf(stderr, "%s", extraUsage);
     std::exit(2);
-}
-
-CrashEvent
-parseCrashAt(const std::string &v, const char *flag)
-{
-    size_t at = v.find('@');
-    if (at == std::string::npos) {
-        std::fprintf(stderr, "%s wants MACHINE@SECONDS, got '%s'\n",
-                     flag, v.c_str());
-        std::exit(2);
-    }
-    CrashEvent ev;
-    try {
-        ev.machine = std::stoi(v.substr(0, at));
-        ev.time = std::stod(v.substr(at + 1));
-    } catch (const std::exception &) {
-        std::fprintf(stderr, "%s: malformed '%s'\n", flag, v.c_str());
-        std::exit(2);
-    }
-    return ev;
 }
 
 } // namespace
@@ -109,16 +79,6 @@ parseCommonArgs(int argc, char **argv, unsigned features,
             }
             return argv[++i];
         };
-        auto num = [&](auto parse) {
-            std::string v = val();
-            try {
-                return parse(v);
-            } catch (const std::exception &) {
-                std::fprintf(stderr, "%s: malformed value '%s'\n",
-                             name.c_str(), v.c_str());
-                std::exit(2);
-            }
-        };
 
         if ((features & kOptQuick) && name == "--quick") {
             setenv("XISA_QUICK", "1", 1);
@@ -133,41 +93,6 @@ parseCommonArgs(int argc, char **argv, unsigned features,
         } else if ((features & kOptPerfJson) &&
                    name == "--sweep-json") {
             o.sweepJsonPath = val();
-        } else if ((features & kOptFault) && name == "--fault-drop") {
-            o.faultDrop =
-                num([](const std::string &v) { return std::stod(v); });
-        } else if ((features & kOptFault) && name == "--fault-seed") {
-            o.faultSeed = num(
-                [](const std::string &v) { return std::stoull(v); });
-        } else if ((features & kOptFault) &&
-                   name == "--fault-partition") {
-            std::string v = val();
-            size_t comma = v.find(',');
-            if (comma == std::string::npos) {
-                std::fprintf(stderr,
-                             "--fault-partition wants PERIOD,LEN\n");
-                std::exit(2);
-            }
-            try {
-                o.faultPartitionPeriod =
-                    std::stoull(v.substr(0, comma));
-                o.faultPartitionLen = std::stoull(v.substr(comma + 1));
-            } catch (const std::exception &) {
-                std::fprintf(stderr,
-                             "--fault-partition: malformed '%s'\n",
-                             v.c_str());
-                std::exit(2);
-            }
-        } else if ((features & kOptFault) &&
-                   name == "--fault-crashes") {
-            o.faultCrashes =
-                num([](const std::string &v) { return std::stoi(v); });
-        } else if ((features & kOptFault) && name == "--fault-down") {
-            o.faultDownSeconds =
-                num([](const std::string &v) { return std::stod(v); });
-        } else if ((features & kOptFault) && name == "--fault-crash") {
-            o.scriptedCrashes.push_back(
-                parseCrashAt(val(), "--fault-crash"));
         } else if ((features & kOptSpecTools) &&
                    name == "--print-spec") {
             o.printSpec = true;
@@ -179,9 +104,6 @@ parseCommonArgs(int argc, char **argv, unsigned features,
         }
     }
 
-    // --fault-down applies to scripted crashes regardless of flag order.
-    for (CrashEvent &ev : o.scriptedCrashes)
-        ev.downSeconds = o.faultDownSeconds;
     if (!o.traceOutPath.empty())
         obs::setTraceEnabled(true);
     return o;

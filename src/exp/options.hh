@@ -8,24 +8,21 @@
  *   kOptObs       --stats, --stats-json FILE, --trace-out FILE
  *   kOptQuick     --quick (same as XISA_QUICK=1)
  *   kOptPerfJson  --json FILE, --sweep-json FILE
- *   kOptFault     --fault-drop P, --fault-seed S, --fault-partition P,L
- *                 --fault-crashes N, --fault-down SEC, --fault-crash=M@T
  *   kOptSpecTools --print-spec, --list-workloads
  *
  * Both `--flag value` and `--flag=value` spellings are accepted. Options
  * come from flags only: the experiment spec (exp/spec.hh) is the one
- * reader of the `.conf` dialect.
+ * reader of the `.conf` dialect. Fault injection has no flags: a conf's
+ * [faults] and [crashes] sections set it (examples/confs/fig12_*.conf).
  */
 
 #ifndef XISA_EXP_OPTIONS_HH
 #define XISA_EXP_OPTIONS_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "obs/registry.hh"
-#include "sched/cluster.hh"
 
 namespace xisa::exp {
 
@@ -33,9 +30,8 @@ enum : unsigned {
     kOptObs = 1u << 0,
     kOptQuick = 1u << 1,
     kOptPerfJson = 1u << 2,
-    kOptFault = 1u << 3,
     /** xisa_exp's own tool flags: --print-spec, --list-workloads. */
-    kOptSpecTools = 1u << 4,
+    kOptSpecTools = 1u << 3,
 };
 
 /** Parsed common options; fields outside the enabled features keep
@@ -48,14 +44,6 @@ struct Options {
     // kOptPerfJson
     std::string perfJsonPath;
     std::string sweepJsonPath;
-    // kOptFault
-    double faultDrop = -1; ///< <0 = sweep the default drop ladder
-    uint64_t faultSeed = 1;
-    uint64_t faultPartitionPeriod = 0;
-    uint64_t faultPartitionLen = 0;
-    int faultCrashes = 2;
-    double faultDownSeconds = 30.0;
-    std::vector<CrashEvent> scriptedCrashes;
     // kOptSpecTools
     bool printSpec = false;
     bool listWorkloads = false;

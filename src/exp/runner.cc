@@ -261,11 +261,8 @@ runSustained(const ExperimentSpec &spec, const Options &opts)
 
     const int numSets = spec.activeSets(quickMode());
     std::printf("\n%-6s", "set");
-    for (const PoolSpec &p : cl.pools) {
-        int width = p.columnWidth > 0 ? p.columnWidth
-                                      : (p.baseline ? 21 : 25);
-        std::printf(" | %*s", width, p.column.c_str());
-    }
+    for (const PoolSpec &p : cl.pools)
+        std::printf(" | %*s", p.baseline ? 21 : 25, p.column.c_str());
     std::printf(" |");
     for (const PoolSpec &p : cl.pools)
         if (!p.baseline)

@@ -330,6 +330,15 @@ kindSections(ExperimentKind k)
     return 0;
 }
 
+/** The kinds whose runner writes --json, the one output `bench_name`
+ *  labels; every other kind rejects the key. */
+bool
+writesPerfJson(ExperimentKind k)
+{
+    return k == ExperimentKind::Overhead || k == ExperimentKind::Rack ||
+           k == ExperimentKind::Serving;
+}
+
 void
 readParamSets(Config &conf, std::vector<ParamSetSpec> &out)
 {
@@ -396,7 +405,6 @@ readPools(Config &conf, ClusterSpec &c)
         p.baseline = conf.getBool(sec, "baseline", false);
         p.label = conf.getString(sec, "label", p.name);
         p.column = conf.getString(sec, "column", p.label);
-        read(conf, sec, "column_width", p.columnWidth);
         p.mkspLabel = conf.getString(sec, "mksp_label", p.name);
         p.shortLabel = conf.getString(sec, "short_label", p.name);
         c.pools.push_back(p);
@@ -546,7 +554,8 @@ parseExperiment(Config &conf)
                            "single, or serving)");
     s.figure = conf.requireString("", "figure");
     s.title = conf.requireString("", "title");
-    s.benchName = conf.getString("", "bench_name", s.benchName);
+    if (writesPerfJson(s.kind))
+        s.benchName = conf.getString("", "bench_name", s.benchName);
 
     const unsigned sections = kindSections(s.kind);
     if (sections & kParamSets)
@@ -951,7 +960,8 @@ serializeSpec(const ExperimentSpec &s)
     w.kv("kind", std::string(kindName(s.kind)));
     w.kv("figure", s.figure);
     w.kv("title", s.title);
-    w.kv("bench_name", s.benchName);
+    if (writesPerfJson(s.kind))
+        w.kv("bench_name", s.benchName);
 
     switch (s.kind) {
       case ExperimentKind::Overhead:
@@ -1016,7 +1026,6 @@ serializeSpec(const ExperimentSpec &s)
         w.kv("baseline", p.baseline);
         w.kv("label", p.label);
         w.kv("column", p.column);
-        w.kv("column_width", p.columnWidth);
         w.kv("mksp_label", p.mkspLabel);
         w.kv("short_label", p.shortLabel);
     }

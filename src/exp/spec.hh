@@ -70,8 +70,7 @@ struct PoolSpec {
     Policy policy = Policy::StaticBalanced;
     bool baseline = false;
     std::string label;      ///< rack-row label (defaults to name)
-    std::string column;     ///< sustained column header
-    int columnWidth = 0;    ///< header field width (0 = 21/25 default)
+    std::string column;     ///< sustained column header (21/25 wide)
     std::string mkspLabel;  ///< sustained makespan-ratio header
     std::string shortLabel; ///< sustained summary-line label
 };
@@ -185,6 +184,8 @@ struct ExperimentSpec {
     std::string figure;
     std::string title;
     std::string footer;
+    /** The --json "bench" field; only the kinds that write --json
+     *  (overhead, rack, serving) read `bench_name`. */
     std::string benchName = "xisa_exp";
 
     // kind = overhead

@@ -125,21 +125,6 @@ ClusterSim::ClusterSim(std::vector<Machine> machines,
     net_.registerStats(stats_, "net");
 }
 
-void
-ClusterSim::setCrashPlan(std::vector<CrashEvent> crashes)
-{
-    for (const CrashEvent &ev : crashes) {
-        if (ev.machine < 0 ||
-            ev.machine >= static_cast<int>(machines_.size()))
-            fatal("crash event names machine %d of %zu", ev.machine,
-                  machines_.size());
-        if (!(ev.downSeconds > 0))
-            fatal("crash event downSeconds must be > 0 (got %g)",
-                  ev.downSeconds);
-    }
-    cfg_.crashes = std::move(crashes);
-}
-
 int
 ClusterSim::capacity(int m) const
 {

@@ -196,9 +196,6 @@ class ClusterSim
     /** Simulate one job set under one policy. */
     ClusterResult run(const std::vector<Job> &jobs, Policy policy);
 
-    /** Replace the crash schedule for subsequent run() calls. */
-    void setCrashPlan(std::vector<CrashEvent> crashes);
-
     /** This simulator's stat registry: cumulative `sched.*` counters
      *  across every run() call on this instance. */
     obs::StatRegistry &statRegistry() { return stats_; }

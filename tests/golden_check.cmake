@@ -1,16 +1,14 @@
-# Script-mode runner for the zero-fault golden guard.
+# Script-mode runner for the golden guard.
 #
 #   cmake -DRUNNER=<xisa_exp binary> -DCONF=<experiment .conf>
 #         -DGOLDEN=<recorded output> -DOUT=<scratch file>
 #         -P golden_check.cmake
 #
 # Runs `xisa_exp CONF` in XISA_QUICK mode and fails unless its stdout
-# is byte-identical to the golden: the empty FaultPlan must add zero
-# cost and zero behavior, and the paper reports must not drift.
+# is byte-identical to the golden: the paper reports must not drift.
 #
 # Pass -DAUDIT=1 to run the same guard with the invariant auditor armed
-# (XISA_AUDIT=1): the auditor, like the empty FaultPlan and the disarmed
-# crash-tolerance layer, must never change a run.
+# (XISA_AUDIT=1): the auditor must never change a run.
 
 foreach(var RUNNER CONF GOLDEN OUT)
     if(NOT DEFINED ${var})
@@ -36,7 +34,7 @@ execute_process(
     RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
     message(FATAL_ERROR
-            "zero-fault output of ${CONF} differs from golden "
-            "${GOLDEN} (see ${OUT}); the empty FaultPlan must be "
-            "bit-identical to the pre-fault-layer behavior")
+            "quick output of ${CONF} differs from golden ${GOLDEN} "
+            "(see ${OUT}); a conf without [faults]/[crashes] must also "
+            "match its pre-fault-layer report")
 endif()

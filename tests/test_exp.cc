@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "exp/config.hh"
 #include "exp/registry.hh"
@@ -471,7 +472,9 @@ TEST(Spec, NegativeSetsQuickRejectedWithFileLine)
 struct ForeignSectionCase {
     const char *name;    ///< gtest parameter name
     const char *kind;
-    const char *section; ///< one section with exactly one key
+    /** Text whose last line holds the rejected key: a section header
+     *  plus keys, or a bare top-level key. */
+    const char *section;
     const char *key;     ///< "section.key" as requireAllUsed names it
 };
 
@@ -506,10 +509,15 @@ TEST_P(ForeignSection, RejectedWithFileKeyLineAndKind)
 {
     const ForeignSectionCase &fc = GetParam();
     const std::string base = minimalConf(fc.kind);
-    // The key sits on the line after the section header.
+    const std::string extra = fc.section;
+    // A top-level key (no section in its name) goes first, where no
+    // section header can claim it; a section is appended.
+    const bool topLevel = std::strchr(fc.key, '.') == nullptr;
+    const std::string text = topLevel ? extra + base : base + extra;
     const int keyLine = static_cast<int>(
-        std::count(base.begin(), base.end(), '\n') + 2);
-    Config c = Config::parseString(base + fc.section, "foreign.conf");
+        std::count(extra.begin(), extra.end(), '\n') +
+        (topLevel ? 0 : std::count(base.begin(), base.end(), '\n')));
+    Config c = Config::parseString(text, "foreign.conf");
     try {
         parseExperiment(c);
         FAIL() << fc.kind << " accepted " << fc.section;
@@ -586,7 +594,19 @@ INSTANTIATE_TEST_SUITE_P(
                            "paramset.big.class"},
         ForeignSectionCase{"serving_paramset", "serving",
                            "[paramset.big]\nclass = B\n",
-                           "paramset.big.class"}),
+                           "paramset.big.class"},
+        // Keys inside a section the kind does read, but which change
+        // nothing: bench_name labels only --json, which sustained and
+        // single never write, and a pool column is always 21/25 wide.
+        ForeignSectionCase{"sustained_bench_name", "sustained",
+                           "bench_name = b\n", "bench_name"},
+        ForeignSectionCase{"single_bench_name", "single",
+                           "bench_name = b\n", "bench_name"},
+        ForeignSectionCase{"sustained_column_width", "sustained",
+                           "[pool.p]\nmachines = m*2\n"
+                           "policy = dynamic-balanced\n"
+                           "column_width = 25\n",
+                           "pool.p.column_width"}),
     [](const ::testing::TestParamInfo<ForeignSectionCase> &info) {
         return std::string(info.param.name);
     });

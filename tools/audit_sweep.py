@@ -42,7 +42,8 @@ def commands(build_dir, crash, confs_dir=None, fleet=False):
     xisa_exp and its conf, Fig. 13 through its bench). With --crash the
     matrix is the node-failure recovery scenario instead: the probe's
     crash legs (byte-identity against a crash-free run with the auditor
-    armed) plus the crashy sustained bench. With --confs DIR, every
+    armed) plus Fig. 12 under scripted crashes (xisa_exp and
+    fig12_crash.conf). With --confs DIR, every
     .conf in DIR runs through xisa_exp under the same audit/perturb
     environment, so config-driven experiments join the hunt. With
     --fleet the matrix is the 1000-machine rack-outage conf alone:
@@ -62,11 +63,11 @@ def commands(build_dir, crash, confs_dir=None, fleet=False):
     probe = require(os.path.join(build_dir, "src", "check", "audit_probe"),
                     "build the audit_probe target")
     if crash:
-        fault = os.path.join(bench, "bench_fault_sustained")
         return [("audit_probe_crash", [probe, "--crash"]),
-                ("fault_sustained_crash",
-                 [require(fault, "build the bench_fault_sustained target"),
-                  "--fault-crash=1@40"])]
+                ("fig12_crash",
+                 [require(runner, "build the xisa_exp target"),
+                  require(os.path.join(confs, "fig12_crash.conf"),
+                          "run from the repo root")])]
     fig13 = os.path.join(bench, "bench_fig13_periodic")
     cmds = [("audit_probe", [probe]),
             ("fig12",
@@ -133,8 +134,9 @@ def main():
                     help="directory for violation logs/traces")
     ap.add_argument("--crash", action="store_true",
                     help="sweep the node-failure recovery scenarios "
-                         "(audit_probe --crash + crashy sustained "
-                         "bench) instead of the default matrix")
+                         "(audit_probe --crash + xisa_exp "
+                         "fig12_crash.conf) instead of the default "
+                         "matrix")
     ap.add_argument("--confs", metavar="DIR",
                     help="also sweep every experiment .conf in DIR "
                          "through xisa_exp (ignored with --crash)")
