@@ -32,7 +32,7 @@ usageExit(const char *prog, unsigned features, const char *extraUsage,
     if (features & kOptPerfJson)
         std::fprintf(stderr,
                      "  --json FILE          perf-smoke row JSON\n"
-                     "  --sweep-json FILE    per-cell host-time JSON\n");
+                     "  --sweep-json FILE    per-cell host time and MIPS\n");
     if (features & kOptSpecTools)
         std::fprintf(stderr,
                      "  --print-spec         parse, print the "

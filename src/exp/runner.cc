@@ -220,16 +220,23 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
         writeJsonHeader(f, spec.benchName.c_str(), quick,
                         sweepThreads(), cells.size(), wallSeconds);
         std::fprintf(f, "  \"cells\": [\n");
+        // Per-cell engine throughput: the cell's simulated
+        // instructions (base and instrumented runs) over its host time,
+        // comparable at any worker count.
         for (size_t k = 0; k < cells.size(); ++k) {
             const Cell &c = cells[k];
+            const CellResult &r = results[k];
             std::fprintf(
                 f,
                 "    {\"index\": %zu, \"workload\": \"%s\", "
                 "\"isa\": \"%s\", \"class\": \"%s\", \"threads\": %d, "
-                "\"host_seconds\": %.6f}%s\n",
+                "\"host_seconds\": %.6f, \"instrs\": %llu, "
+                "\"mips\": %.2f}%s\n",
                 k, c.provider->name().c_str(),
                 c.node.isa == IsaId::Aether64 ? "Aether64" : "Xeno64",
-                className(c.cls), c.nthreads, results[k].hostSeconds,
+                className(c.cls), c.nthreads, r.hostSeconds,
+                static_cast<unsigned long long>(r.instrs),
+                r.instrs / r.hostSeconds / 1e6,
                 k + 1 < cells.size() ? "," : "");
         }
         std::fprintf(f, "  ]\n}\n");

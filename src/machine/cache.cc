@@ -7,6 +7,8 @@
 
 namespace xisa {
 
+Cache::HostLines Cache::noHostLines_;
+
 Cache::Cache(const CacheConfig &cfg) : cfg_(cfg)
 {
     if (cfg.lineBytes == 0 || (cfg.lineBytes & (cfg.lineBytes - 1)))
@@ -55,7 +57,7 @@ Cache::accessSlow(uint64_t lineAddr)
     for (uint32_t w = 0; w < cfg_.assoc; ++w) {
         if (tagBase[w] == tag) {
             useBase[w] = clock_;
-            memo_[lineAddr & (kMemoSize - 1)] = {lineAddr, &useBase[w]};
+            setMemo(lineAddr & (kMemoSize - 1), {lineAddr, &useBase[w]});
             lastUsePtr_ = &useBase[w];
             return 0;
         }
@@ -78,13 +80,13 @@ Cache::accessSlow(uint64_t lineAddr)
         uint64_t evicted = pow2Sets_
                                ? (tagBase[victim] << setShift_) | set
                                : tagBase[victim] * numSets_ + set;
-        MemoEntry &ev = memo_[evicted & (kMemoSize - 1)];
-        if (ev.lineAddr == evicted)
-            ev = MemoEntry{};
+        const uint32_t s = evicted & (kMemoSize - 1);
+        if (memo_[s].lineAddr == evicted)
+            setMemo(s, MemoEntry{});
     }
     tagBase[victim] = tag;
     useBase[victim] = clock_;
-    memo_[lineAddr & (kMemoSize - 1)] = {lineAddr, &useBase[victim]};
+    setMemo(lineAddr & (kMemoSize - 1), {lineAddr, &useBase[victim]});
     lastUsePtr_ = &useBase[victim];
     return cfg_.missPenalty;
 }
@@ -96,7 +98,36 @@ Cache::flush()
     std::fill(tags_.begin(), tags_.end(), ~0ull);
     for (MemoEntry &m : memo_)
         m = MemoEntry{};
+    dropHostLines();
     lastUsePtr_ = nullptr;
+}
+
+void
+Cache::fillHost(uint64_t addr, const uint8_t *host, bool write)
+{
+    const uint64_t lineAddr = addr >> lineShift_;
+    const uint32_t s = lineAddr & (kMemoSize - 1);
+    if (lineShift_ != kHostLineShift || memo_[s].lineAddr != lineAddr)
+        return;
+    if (!hostOwned_) {
+        hostOwned_ = std::make_unique<HostLines>();
+        host_ = hostOwned_.get();
+    }
+    HostRef &h = write ? host_->wr[s] : host_->rd[s];
+    h.tag = lineAddr << kHostLineShift;
+    h.delta = reinterpret_cast<uintptr_t>(host) - addr;
+    h.stamp = memo_[s].stampPtr;
+}
+
+void
+Cache::dropHostLines()
+{
+    if (!hostOwned_)
+        return;
+    for (uint32_t s = 0; s < kMemoSize; ++s) {
+        host_->rd[s].tag = kNoLine;
+        host_->wr[s].tag = kNoLine;
+    }
 }
 
 } // namespace xisa

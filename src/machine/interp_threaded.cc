@@ -26,6 +26,12 @@
  *    untouched instruction to runImpl<kFast> for reference-exact
  *    execution -- slow-path protocol actions, trace cursor updates,
  *    machine-fault messages and all.
+ *  - One data probe: LOADU/STOREU first probe the L1D memo slot, whose
+ *    host pointer (Cache::hostLoad) stands in for a software-TLB hit.
+ *    Pointers are filled only after a TLB grant, and at every run()
+ *    entry and after every deopt -- the only points where TLB state
+ *    can change under a slice -- they are dropped unless the port's
+ *    TLB epoch is unchanged.
  */
 
 #include "machine/interp_threaded.hh"
@@ -538,6 +544,11 @@ ThreadedEngine::runLoop(ThreadContext *ctx, MemPort *mem, Core *core,
     }
 
     XISA_CHECK(ctx->isa == interp_.isa_, "thread context on wrong ISA");
+    // Host pointers in the L1D memo are only as fresh as the software
+    // TLB that granted them, and TLB state changes only in hDSM
+    // protocol code: between slices, or inside a deopt's reference
+    // step. At both points, keep them only while the TLB is unchanged.
+    core->l1d.retainHostLines(mem, mem->tlbEpoch());
 
     const uint32_t memPen = interp_.spec_.memPenaltyCycles;
 #if XISA_TRACE
@@ -678,6 +689,7 @@ deopt_one: {
     ctx->pc.instrIdx = u->gidx;
     note(SuperblockObserver::Event::Deopt, u->gidx);
     mergeTail(interp_.runImpl<true>(*ctx, *mem, *core, *l2, 1));
+    core->l1d.retainHostLines(mem, mem->tlbEpoch());
     if (res.reason != StopReason::Budget) {
         funcId = ctx->pc.funcId;
         note(SuperblockObserver::Event::Exit, ctx->pc.instrIdx);
@@ -792,17 +804,31 @@ L_FCmp: {
     TAIL();
 }
 
-    // --- Memory (probe the software TLB first; miss => deopt) -------------
+    // --- Memory -----------------------------------------------------------
+    // One probe first: an L1D memo slot that carries the line's host
+    // bytes is both the software-TLB hit and the cache hit (see
+    // Cache::hostLoad), so the data moves straight through it.
+    // Anything else takes the two-probe path: software TLB first (miss
+    // => deopt), then the cache model, then the slot learns the host
+    // bytes the TLB just granted.
 
 #define LOADU(name, addrExpr, nbytes, assign) \
     L_##name: { \
         const uint64_t a = (addrExpr); \
         uint64_t v = 0; \
-        if (!mem->tryRead(a, &v, nbytes)) \
+        if (core->l1d.hostLoad<nbytes>(a, &v)) { \
+            FETCH(); \
+            assign; \
+            TAIL(); \
+        } \
+        const uint8_t *h = mem->tlbRead(a, nbytes); \
+        if (!h) \
             goto deopt_one; \
+        std::memcpy(&v, h, nbytes); \
         FETCH(); /* after the probe, before the D-access: L1I touches \
                     the shared L2 first, as the reference does */ \
         cyc += accessThrough(core->l1d, *l2, a, memPen); \
+        core->l1d.fillHostRead(a, h); \
         assign; \
         TAIL(); \
     }
@@ -831,10 +857,17 @@ LOADU(Pop, g[u->rn], 8, (g[u->rd] = v, g[u->rn] += 8))
     L_##name: { \
         const uint64_t a = (addrExpr); \
         uint64_t v = (valExpr); \
-        if (!mem->tryWrite(a, &v, nbytes)) \
+        if (core->l1d.hostStore<nbytes>(a, &v)) { \
+            FETCH(); \
+            TAIL(); \
+        } \
+        uint8_t *h = mem->tlbWrite(a, nbytes); \
+        if (!h) \
             goto deopt_one; \
+        std::memcpy(h, &v, nbytes); \
         FETCH(); \
         cyc += accessThrough(core->l1d, *l2, a, memPen); \
+        core->l1d.fillHostWrite(a, h); \
         TAIL(); \
     }
 

@@ -95,31 +95,42 @@ class MemPort
     static constexpr uint64_t kNoPage = ~0ull;
 
     /**
-     * TLB probe for a load. Returns true and fills `dst` iff the page
-     * is cached readable and [addr, addr+n) does not cross the page.
+     * TLB probe for a load: the host address of `addr` iff its page is
+     * cached readable and [addr, addr+n) does not cross the page,
+     * otherwise nullptr.
      */
-    bool
-    tryRead(uint64_t addr, void *dst, unsigned n)
+    const uint8_t *
+    tlbRead(uint64_t addr, unsigned n) const
     {
-        const uint64_t vpage = addr / vm::kPageSize;
-        const uint64_t off = addr % vm::kPageSize;
-        const TlbEntry &e = readTlb_[vpage & (kTlbSize - 1)];
-        if (e.vpage != vpage || off + n > vm::kPageSize)
-            return false;
-        std::memcpy(dst, e.base + off, n);
-        return true;
+        return probe(readTlb_, addr, n);
     }
 
     /** TLB probe for a store; cached-writable same-page accesses only. */
+    uint8_t *
+    tlbWrite(uint64_t addr, unsigned n) const
+    {
+        return probe(writeTlb_, addr, n);
+    }
+
+    /** tlbRead() that also copies the bytes into `dst` on a hit. */
+    bool
+    tryRead(uint64_t addr, void *dst, unsigned n)
+    {
+        const uint8_t *p = tlbRead(addr, n);
+        if (!p)
+            return false;
+        std::memcpy(dst, p, n);
+        return true;
+    }
+
+    /** tlbWrite() that also copies `src` into memory on a hit. */
     bool
     tryWrite(uint64_t addr, const void *src, unsigned n)
     {
-        const uint64_t vpage = addr / vm::kPageSize;
-        const uint64_t off = addr % vm::kPageSize;
-        const TlbEntry &e = writeTlb_[vpage & (kTlbSize - 1)];
-        if (e.vpage != vpage || off + n > vm::kPageSize)
+        uint8_t *p = tlbWrite(addr, n);
+        if (!p)
             return false;
-        std::memcpy(e.base + off, src, n);
+        std::memcpy(p, src, n);
         return true;
     }
 
@@ -140,6 +151,7 @@ class MemPort
         TlbEntry &w = writeTlb_[vpage & (kTlbSize - 1)];
         if (w.vpage == vpage)
             w = TlbEntry{};
+        ++tlbEpoch_;
     }
 
     /** Drop every cached translation (migration, snapshot restore). */
@@ -150,7 +162,16 @@ class MemPort
             e = TlbEntry{};
         for (TlbEntry &e : writeTlb_)
             e = TlbEntry{};
+        ++tlbEpoch_;
     }
+
+    /**
+     * Advanced by every drop and flush, and by every install that
+     * displaces another translation: while it is unchanged, no cached
+     * translation has gone, so a host address the TLB granted still
+     * stands for a TLB hit (Cache::retainHostLines).
+     */
+    uint64_t tlbEpoch() const { return tlbEpoch_; }
 
     // --- Read-only probes (invariant auditing / tests) -----------------
 
@@ -179,18 +200,38 @@ class MemPort
     void
     tlbInstallRead(uint64_t vpage, uint8_t *base)
     {
-        readTlb_[vpage & (kTlbSize - 1)] = {vpage, base};
+        tlbSet(readTlb_[vpage & (kTlbSize - 1)], vpage, base);
     }
 
     void
     tlbInstallWrite(uint64_t vpage, uint8_t *base)
     {
-        writeTlb_[vpage & (kTlbSize - 1)] = {vpage, base};
+        tlbSet(writeTlb_[vpage & (kTlbSize - 1)], vpage, base);
     }
 
   private:
+    void
+    tlbSet(TlbEntry &e, uint64_t vpage, uint8_t *base)
+    {
+        if (e.vpage != kNoPage && (e.vpage != vpage || e.base != base))
+            ++tlbEpoch_;
+        e = {vpage, base};
+    }
+
+    static uint8_t *
+    probe(const TlbEntry *tlb, uint64_t addr, unsigned n)
+    {
+        const uint64_t vpage = addr / vm::kPageSize;
+        const uint64_t off = addr % vm::kPageSize;
+        const TlbEntry &e = tlb[vpage & (kTlbSize - 1)];
+        if (e.vpage != vpage || off + n > vm::kPageSize)
+            return nullptr;
+        return e.base + off;
+    }
+
     TlbEntry readTlb_[kTlbSize];
     TlbEntry writeTlb_[kTlbSize];
+    uint64_t tlbEpoch_ = 0;
 };
 
 /** MemPort bound directly to one SimMemory; zero extra latency.

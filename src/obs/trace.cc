@@ -48,14 +48,15 @@ void
 Tracer::record(int track, const TraceEvent &e)
 {
     Ring &r = rings_[track];
-    if (r.ev.empty())
-        r.ev.resize(capacity_);
+    // Grow until full, then wrap: a track that records a handful of
+    // events costs a handful of slots, not the whole capacity.
+    if (r.head == 0 && r.ev.size() < capacity_) {
+        r.ev.push_back(e);
+        return;
+    }
     r.ev[r.head] = e;
     r.head = (r.head + 1) % r.ev.size();
-    if (r.count < r.ev.size())
-        ++r.count;
-    else
-        ++dropped_;
+    ++dropped_;
 }
 
 void
@@ -96,7 +97,7 @@ Tracer::size() const
 {
     size_t n = 0;
     for (const auto &[track, r] : rings_)
-        n += r.count;
+        n += r.ev.size();
     return n;
 }
 
@@ -112,15 +113,13 @@ std::vector<TraceEvent>
 Tracer::repaired(const Ring &r) const
 {
     std::vector<TraceEvent> out;
-    out.reserve(r.count);
-    // Oldest-first order: the ring wraps at `head`.
-    size_t start = r.count < r.ev.size()
-                       ? 0
-                       : r.head; // full ring: oldest is at head
+    out.reserve(r.ev.size());
+    // Oldest-first order: the oldest event sits at `head` (0 until the
+    // ring first wraps).
     double lastTs = 0;
     std::vector<size_t> open; ///< indices into `out` of unmatched B's
-    for (size_t i = 0; i < r.count; ++i) {
-        const TraceEvent &e = r.ev[(start + i) % r.ev.size()];
+    for (size_t i = 0; i < r.ev.size(); ++i) {
+        const TraceEvent &e = r.ev[(r.head + i) % r.ev.size()];
         lastTs = e.tsSeconds;
         if (e.ph == 'E') {
             if (open.empty())

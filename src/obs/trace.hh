@@ -16,9 +16,10 @@
  *    instrumentation macros expand to nothing);
  *  - compiled in but disabled (the default at startup): one predictable
  *    branch on `gTraceEnabled` per potential event;
- *  - enabled: one ring-buffer store per event. Rings are fixed size and
- *    overwrite their oldest events, so tracing never allocates
- *    unboundedly under heavy traffic.
+ *  - enabled: one ring-buffer store per event. A ring grows with its
+ *    track's events up to a fixed capacity, then overwrites its oldest
+ *    events, so a quiet track costs a few slots and tracing never
+ *    allocates unboundedly under heavy traffic.
  *
  * Because instrumented layers sit below the code that knows "whose time
  * is it" (e.g. a DSM fault doesn't know which thread faulted), the OS
@@ -122,10 +123,11 @@ class Tracer
     void exportChromeTrace(std::ostream &os) const;
 
   private:
+    /** Events oldest-first from `head`. `ev` grows up to the capacity;
+     *  once full, `head` is the next slot to overwrite. */
     struct Ring {
-        std::vector<TraceEvent> ev; ///< sized to capacity on first use
-        size_t head = 0;            ///< next write position
-        size_t count = 0;
+        std::vector<TraceEvent> ev;
+        size_t head = 0;
     };
 
     void record(int track, const TraceEvent &e);

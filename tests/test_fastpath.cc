@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -445,6 +446,154 @@ TEST(ThreadedDeopt, PerturbedScheduleOverlayMatchesFastPath)
         plain = captureRun(bin, true, 1100);
     }
     expectIdentical(threaded, plain, "perturbed overlay");
+}
+
+/** Final state of one sliced raw-loop run (see the test below). */
+struct SlicedRun {
+    ThreadContext ctx;
+    uint64_t coreCycles = 0;
+    uint64_t l1dAccesses = 0;
+    uint64_t l1dMisses = 0;
+    DsmStats dsm;
+    std::map<uint64_t, std::vector<uint8_t>> image;
+    int steals = 0;       ///< slices whose page was stolen before entry
+    int memoAtEntry = 0;  ///< ... while the L1D memo still named the line
+};
+
+/**
+ * Run a hand-built load/store loop on node 0 of a two-node DsmSpace in
+ * short slices. Between slices node 1 writes a word on the loop's data
+ * page, stealing the page while node 0's L1D memo still names its
+ * line. Any host pointer the engine kept across the steal would read
+ * or write the page node 0 no longer holds.
+ */
+SlicedRun
+runStolenPageSlices()
+{
+    constexpr IsaId kIsa = IsaId::Aether64;
+    constexpr uint64_t kData = kBase + 0x40;
+    std::vector<MachInstr> code;
+    auto op = [&code](MOp o, uint8_t rd, uint8_t rn, uint8_t rm,
+                      int64_t imm) {
+        MachInstr in;
+        in.op = o;
+        in.rd = rd;
+        in.rn = rn;
+        in.rm = rm;
+        in.imm = imm;
+        code.push_back(in);
+        return code.size() - 1;
+    };
+    // r1 = kData. Loop: [r1] += 3; r5 += [r1+8]; [r1+16] = r5;
+    // ++r4 < 4000. Node 1 rewrites [r1+8] between slices.
+    const uint32_t top = static_cast<uint32_t>(op(MOp::Ldr, 2, 1, 0, 0));
+    op(MOp::AddImm, 2, 2, 0, 3);
+    op(MOp::Str, 2, 1, 0, 0);
+    op(MOp::Ldr, 3, 1, 0, 8);
+    op(MOp::Add, 5, 5, 3, 0);
+    op(MOp::Str, 5, 1, 0, 16);
+    op(MOp::AddImm, 4, 4, 0, 1);
+    op(MOp::CmpImm, 0, 4, 0, 4000);
+    const size_t br = op(MOp::BCond, 0, 0, 0, 0);
+    code[br].cond = Cond::LT;
+    code[br].target = top;
+    op(MOp::Hlt, 0, 0, 0, 0);
+
+    // A one-function binary around the raw code.
+    MultiIsaBinary bin;
+    bin.name = "raw";
+    IRFunction main;
+    main.name = "main";
+    main.id = 0;
+    main.retType = Type::Void;
+    BasicBlock bb;
+    IRInstr ret;
+    ret.op = IROp::Ret;
+    ret.a = kNoValue;
+    bb.instrs.push_back(ret);
+    main.blocks.push_back(bb);
+    bin.ir.functions.push_back(main);
+    bin.ir.name = "raw";
+    FuncImage img;
+    uint32_t off = 0;
+    for (MachInstr &in : code) {
+        in.size = encodedSize(in, kIsa);
+        img.instrOff.push_back(off);
+        off += in.size;
+    }
+    img.instrOff.push_back(off);
+    img.code = code;
+    for (int i = 0; i < kNumIsas; ++i) {
+        bin.image[i].push_back(img);
+        bin.funcAddr[i].push_back(vm::kTextBase);
+        bin.textEnd[i] = vm::kTextBase + off;
+    }
+
+    NodeSpec spec = makeAetherServer();
+    Interconnect net;
+    DsmSpace dsm(2, &net, {spec.freqGHz, spec.freqGHz});
+    dsm.populateZero(0, kBase, vm::kPageSize);
+    Interp interp(bin, kIsa, spec);
+    Core core(spec);
+    Cache l2(spec.l2);
+
+    SlicedRun r;
+    r.ctx.isa = kIsa;
+    r.ctx.pc = {0, 0};
+    r.ctx.gpr[1] = kData;
+    StepResult sr;
+    for (int slice = 0; slice < 400; ++slice) {
+        sr = interp.run(r.ctx, dsm.port(0), core, l2, 97);
+        if (sr.reason != StopReason::Budget)
+            break;
+        uint64_t v = 1000 + static_cast<uint64_t>(slice);
+        dsm.port(1).write(kData + 8, &v, 8);
+        if (dsm.port(0).tlbReadBase(kBase / vm::kPageSize) == nullptr) {
+            ++r.steals;
+            if (core.l1d.memoHolds(kData))
+                ++r.memoAtEntry;
+        }
+    }
+    EXPECT_EQ(sr.reason, StopReason::Halt);
+    r.coreCycles = core.cycles;
+    r.l1dAccesses = core.l1d.stats().accesses;
+    r.l1dMisses = core.l1d.stats().misses;
+    r.dsm = dsm.stats();
+    r.image = dsm.pageImage();
+    return r;
+}
+
+TEST(ThreadedDeopt, PageStolenBetweenSlicesDropsHostPointers)
+{
+    // The threaded engine's L1D memo carries host pointers that stand
+    // in for software-TLB hits. They must not survive a slice
+    // boundary: node 1 steals the page in between, and the next slice
+    // has to re-fault it exactly as the plain fast path does.
+    SlicedRun threaded = runStolenPageSlices();
+    SlicedRun plain;
+    {
+        NoThreadedGuard guard;
+        plain = runStolenPageSlices();
+    }
+    EXPECT_GT(threaded.steals, 10)
+        << "node 1 never stole the page; the test lost its trigger";
+    EXPECT_GT(threaded.memoAtEntry, 10)
+        << "the stolen line was never memo-resident at slice entry";
+    EXPECT_EQ(threaded.steals, plain.steals);
+    EXPECT_EQ(0, std::memcmp(threaded.ctx.gpr, plain.ctx.gpr,
+                             sizeof threaded.ctx.gpr));
+    EXPECT_EQ(threaded.ctx.instrs, plain.ctx.instrs);
+    EXPECT_EQ(threaded.ctx.cycles, plain.ctx.cycles);
+    EXPECT_EQ(threaded.coreCycles, plain.coreCycles);
+    EXPECT_EQ(threaded.l1dAccesses, plain.l1dAccesses);
+    EXPECT_EQ(threaded.l1dMisses, plain.l1dMisses);
+    EXPECT_EQ(threaded.dsm.readFaults, plain.dsm.readFaults);
+    EXPECT_EQ(threaded.dsm.writeFaults, plain.dsm.writeFaults);
+    EXPECT_EQ(threaded.dsm.invalidations, plain.dsm.invalidations);
+    EXPECT_EQ(threaded.dsm.extraCycles, plain.dsm.extraCycles);
+    EXPECT_TRUE(threaded.image == plain.image)
+        << "final memory images differ";
+    EXPECT_GT(threaded.ctx.gpr[5], 0u) << "node 1's words never arrived";
 }
 
 } // namespace

@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <list>
+#include <vector>
+
 #include "machine/cache.hh"
 #include "machine/interp.hh"
 #include "machine/mem.hh"
 #include "machine/node.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace xisa {
 namespace {
@@ -64,6 +70,193 @@ TEST(Cache, AccessThroughChainsPenalties)
     l1.flush();
     // L1 miss, L2 hit.
     EXPECT_EQ(accessThrough(l1, l2, 0x3000, 100), 8u);
+}
+
+/**
+ * Brute-force true-LRU reference with no memo: per set, the resident
+ * lines in recency order (most recent first).
+ */
+class LruReference
+{
+  public:
+    explicit LruReference(const CacheConfig &cfg)
+        : cfg_(cfg), sets_(cfg.sizeBytes / (cfg.lineBytes * cfg.assoc))
+    {}
+
+    uint32_t
+    access(uint64_t addr)
+    {
+        ++accesses;
+        const uint64_t line = addr / cfg_.lineBytes;
+        std::list<uint64_t> &set = sets_[line % sets_.size()];
+        auto it = std::find(set.begin(), set.end(), line);
+        if (it != set.end()) {
+            set.splice(set.begin(), set, it);
+            return 0;
+        }
+        ++misses;
+        set.push_front(line);
+        if (set.size() > cfg_.assoc)
+            set.pop_back();
+        return cfg_.missPenalty;
+    }
+
+    void
+    flush()
+    {
+        for (std::list<uint64_t> &set : sets_)
+            set.clear();
+    }
+
+    uint64_t accesses = 0;
+    uint64_t misses = 0;
+
+  private:
+    CacheConfig cfg_;
+    std::vector<std::list<uint64_t>> sets_;
+};
+
+/**
+ * Drive the memo-backed Cache the way the engines do -- plain access(),
+ * the host-byte load/store path with its fills, I-side bulkMemoHits()
+ * and flush()/dropHostLines() -- against LruReference. Guest memory is
+ * a host buffer, so host-path hits must also return its bytes.
+ */
+void
+runCacheDifferential(const CacheConfig &cfg, uint64_t seed)
+{
+    Cache c(cfg);
+    LruReference ref(cfg);
+    Rng rng(seed);
+    const uint32_t sets = cfg.sizeBytes / (cfg.lineBytes * cfg.assoc);
+    // Guest lines from three families: a hot handful, lines one memo
+    // period apart (same memo slot, different cache sets), and lines
+    // one set period apart (same set, so they evict each other while
+    // the memo still names them).
+    const uint64_t memoPeriod = uint64_t{Cache::kMemoSize} * cfg.lineBytes;
+    const uint64_t setPeriod = uint64_t{sets} * cfg.lineBytes;
+    std::vector<uint64_t> lines;
+    for (uint64_t i = 0; i < 6; ++i)
+        lines.push_back(i * cfg.lineBytes);
+    for (uint64_t i = 1; i <= 6; ++i)
+        lines.push_back(3 * cfg.lineBytes + i * memoPeriod);
+    for (uint64_t i = 1; i <= cfg.assoc + 3; ++i)
+        lines.push_back(cfg.lineBytes + i * setPeriod);
+    uint64_t span = 0;
+    for (uint64_t l : lines)
+        span = std::max(span, l + cfg.lineBytes);
+    std::vector<uint8_t> guest(span + 8);
+    for (size_t i = 0; i < guest.size(); ++i)
+        guest[i] = static_cast<uint8_t>(rng.next());
+
+    uint64_t hostHits = 0;
+    uint64_t lastAccess = 0;
+    bool bulkOk = false;
+    for (int op = 0; op < 20000; ++op) {
+        const uint64_t line = lines[rng.below(lines.size())];
+        // Mostly aligned 8-byte slots; sometimes an odd offset, which
+        // the host path must refuse (misaligned or line-crossing).
+        uint64_t addr = line + 8 * rng.below(cfg.lineBytes / 8);
+        if (rng.below(8) == 0)
+            addr = line + rng.below(cfg.lineBytes);
+        const unsigned pick = static_cast<unsigned>(rng.below(100));
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " op " << op << " addr 0x"
+                     << std::hex << addr);
+        if (pick < 35) {
+            ASSERT_EQ(c.access(addr), ref.access(addr));
+            lastAccess = addr;
+            bulkOk = true;
+        } else if (pick < 80) {
+            // The threaded engine's load/store: host path, else the
+            // cache model plus a fill.
+            const bool store = pick >= 60;
+            uint64_t v = 0;
+            const bool hit =
+                store ? c.hostStore<8>(addr, &v) : c.hostLoad<8>(addr, &v);
+            if (hit) {
+                ++hostHits;
+                ASSERT_EQ(addr % 8, 0u) << "misaligned host-path hit";
+                ASSERT_EQ(ref.access(addr), 0u)
+                    << "host-path hit on a line the reference lacks";
+                if (store) {
+                    // hostStore wrote v (0) through the pointer.
+                    uint64_t back = 1;
+                    std::memcpy(&back, &guest[addr], 8);
+                    ASSERT_EQ(back, 0u);
+                    v = rng.next();
+                    ASSERT_TRUE(c.hostStore<8>(addr, &v));
+                    ASSERT_EQ(ref.access(addr), 0u);
+                    std::memcpy(&back, &guest[addr], 8);
+                    ASSERT_EQ(back, v);
+                } else {
+                    uint64_t want = 0;
+                    std::memcpy(&want, &guest[addr], 8);
+                    ASSERT_EQ(v, want);
+                }
+            } else {
+                ASSERT_EQ(c.access(addr), ref.access(addr));
+                lastAccess = addr;
+                bulkOk = true;
+                if (store)
+                    c.fillHostWrite(addr, &guest[addr]);
+                else
+                    c.fillHostRead(addr, &guest[addr]);
+            }
+        } else if (pick < 90) {
+            // I-side batch: n more hits on the last access()ed line.
+            if (!bulkOk)
+                continue;
+            const uint64_t n = 1 + rng.below(5);
+            c.bulkMemoHits(n);
+            for (uint64_t i = 0; i < n; ++i)
+                ASSERT_EQ(ref.access(lastAccess), 0u);
+            bulkOk = false;
+        } else if (pick < 97) {
+            c.dropHostLines();
+        } else {
+            c.flush();
+            ref.flush();
+            bulkOk = false;
+        }
+        ASSERT_EQ(c.stats().accesses, ref.accesses);
+        ASSERT_EQ(c.stats().misses, ref.misses);
+    }
+    if (cfg.lineBytes == Cache::kHostLineBytes) {
+        EXPECT_GT(hostHits, 200u) << "the host path never engaged";
+    } else {
+        EXPECT_EQ(hostHits, 0u) << "host path used on a foreign line size";
+    }
+}
+
+TEST(CacheDifferential, MemoMatchesBruteForceLru)
+{
+    // The presets' L1 geometry, a small cache whose sets conflict
+    // constantly, and a line size the host path must leave alone.
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        runCacheDifferential({32 * 1024, 8, 64, 10}, seed);
+        runCacheDifferential({1024, 2, 64, 7}, seed);
+        runCacheDifferential({2048, 4, 32, 5}, seed);
+    }
+}
+
+TEST(CacheDifferential, HostPathRefusesMisalignedAndUnfilledAccesses)
+{
+    Cache c({1024, 2, 64, 10});
+    std::vector<uint8_t> guest(256, 0xab);
+    uint64_t v = 0;
+    EXPECT_FALSE(c.hostLoad<8>(0x40, &v)) << "nothing filled yet";
+    EXPECT_EQ(c.access(0x40), 10u);
+    c.fillHostRead(0x40, &guest[0x40]);
+    EXPECT_TRUE(c.hostLoad<8>(0x48, &v));
+    EXPECT_EQ(v, 0xababababababababull);
+    EXPECT_FALSE(c.hostLoad<8>(0x44, &v)) << "misaligned";
+    EXPECT_TRUE(c.hostLoad<4>(0x44, &v)) << "4-aligned 4-byte load";
+    EXPECT_TRUE(c.hostLoad<1>(0x7f, &v));
+    EXPECT_FALSE(c.hostStore<8>(0x48, &v)) << "only a read was granted";
+    c.dropHostLines();
+    EXPECT_FALSE(c.hostLoad<8>(0x48, &v));
+    EXPECT_EQ(c.stats().accesses, 4u);
 }
 
 TEST(NodeSpec, PresetsMatchTheTestbedShape)
