@@ -32,12 +32,16 @@ measure(const MultiIsaBinary &bin, const NodeSpec &spec)
     OsRunResult res = os.run();
     RunStats out;
     out.seconds = res.makespanSeconds;
-    // Aggregate I-cache stats across cores. We reach through the
-    // energy meter's spec only for core count; stats come from the
-    // interp cores -- exposed via os.interp(0) caches? The cores live
-    // in the OS; sum their cache stats through the public interp...
-    (void)spec;
-    out.l1iMissRatio = os.l1iMissRatio(0);
+    // Aggregate the L1-I counters across the node's cores.
+    uint64_t accesses = 0, misses = 0;
+    for (int c = 0; c < spec.cores; ++c) {
+        std::string l1i = "node0.core" + std::to_string(c) + ".l1i.";
+        accesses += os.statRegistry().counterValue(l1i + "accesses");
+        misses += os.statRegistry().counterValue(l1i + "misses");
+    }
+    out.l1iMissRatio = accesses ? static_cast<double>(misses) /
+                                      static_cast<double>(accesses)
+                                : 0.0;
     return out;
 }
 

@@ -10,13 +10,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 
 #include "compiler/compile.hh"
+#include "exp/options.hh"
 #include "ir/builder.hh"
-#include "obs/trace.hh"
 #include "os/os.hh"
 
 using namespace xisa;
@@ -64,26 +61,8 @@ buildProgram()
 int
 main(int argc, char **argv)
 {
-    // --trace-out FILE: arm the event tracer, write Chrome trace JSON.
-    // --stats-json FILE: write the container's stat registry as JSON.
-    const char *traceOut = nullptr;
-    const char *statsJson = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--trace-out") && i + 1 < argc) {
-            traceOut = argv[++i];
-        } else if (!std::strcmp(argv[i], "--stats-json") &&
-                   i + 1 < argc) {
-            statsJson = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--trace-out FILE] "
-                         "[--stats-json FILE]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    if (traceOut)
-        obs::setTraceEnabled(true);
+    // --trace-out FILE, --stats-json FILE, --stats.
+    exp::Options opts = exp::parseCommonArgs(argc, argv, exp::kOptObs);
 
     MultiIsaBinary bin = compileModule(buildProgram());
     uint32_t downId = bin.ir.findFunc("down");
@@ -141,26 +120,8 @@ main(int argc, char **argv)
     }
     std::printf("\nhDSM moved %llu pages on demand after the "
                 "migration.\n",
-                (unsigned long long)os.dsm().stats().pagesTransferred);
-
-    if (statsJson) {
-        std::ofstream f(statsJson);
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", statsJson);
-            return 1;
-        }
-        os.statRegistry().dumpJson(f);
-        std::printf("stats json: %s\n", statsJson);
-    }
-    if (traceOut) {
-        std::ofstream f(traceOut);
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", traceOut);
-            return 1;
-        }
-        obs::Tracer::global().exportChromeTrace(f);
-        std::printf("trace: %s (%zu events)\n", traceOut,
-                    obs::Tracer::global().size());
-    }
+                (unsigned long long)os.statRegistry().counterValue(
+                    "dsm.page_transfers"));
+    exp::writeOutputs(opts, os.statRegistry());
     return 0;
 }

@@ -45,8 +45,8 @@ main()
                     res.output.at(0).c_str(), res.output.at(1).c_str(),
                     res.output.at(2).c_str(), res.makespanSeconds,
                     os.threadNode(0), os.migrations().size(),
-                    (unsigned long long)
-                        os.dsm().stats().pagesTransferred);
+                    (unsigned long long)os.statRegistry().counterValue(
+                        "dsm.page_transfers"));
         return res.output;
     };
 

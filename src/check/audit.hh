@@ -20,9 +20,8 @@
  *    context back to the source ISA reproduces the source frames
  *    bit-for-bit and the source register state (checked under a
  *    protocol bypass so the audit is invisible to the run);
- *  - stat-shim/registry agreement: the deprecated DsmStats/Interconnect
- *    shims, the registry-backed aggregates, and the per-node breakdowns
- *    must all tell the same story.
+ *  - counter agreement: each aggregate `dsm.*` protocol counter equals
+ *    the sum of its per-node `node<N>.dsm.*` breakdown.
  *
  * A violation prints a replay line (perturbation seed + fault seed),
  * dumps a Chrome trace when tracing is compiled in, and panics -- so
@@ -48,7 +47,6 @@
 
 namespace xisa {
 
-class Interconnect;
 class StackTransformer;
 
 namespace check {
@@ -99,16 +97,8 @@ class InvariantAuditor
         uint64_t perturbSeed = 0; ///< XISA_PERTURB seed (0 if unset)
     };
 
-    /**
-     * @param dsm   space to audit (outlives the auditor)
-     * @param reg   registry holding the dsm/net counters, or nullptr to
-     *              skip the shim-agreement checks
-     * @param net   link whose traffic shims to cross-check (nullable)
-     * @param netPrefix registry prefix the link was attached under
-     */
-    InvariantAuditor(DsmSpace &dsm, const obs::StatRegistry *reg,
-                     const Interconnect *net, std::string netPrefix,
-                     Context ctx);
+    /** @param dsm space to audit (outlives the auditor) */
+    InvariantAuditor(DsmSpace &dsm, Context ctx);
 
     /** Install this auditor as `dsm`'s protocol-step hook. */
     void attach();
@@ -121,7 +111,7 @@ class InvariantAuditor
     void onProtocolStep(const char *what, uint64_t vpage);
 
     /** Full sweep: directory, every TLB, every page's replica bytes,
-     *  and the stat shims. Called at migrations, restores, and end of
+     *  and the counter sums. Called at migrations, restores, and end of
      *  run. */
     void deepCheck(const char *where);
 
@@ -153,33 +143,11 @@ class InvariantAuditor
   private:
     void checkPage(const char *where, uint64_t vpage, bool bytes);
     void checkDirectoryAndTlbs(const char *where, bool bytes);
-    void checkStatShims(const char *where);
+    void checkCounterSums(const char *where);
 
     DsmSpace &dsm_;
-    const obs::StatRegistry *reg_;
-    const Interconnect *net_;
-    std::string netPrefix_;
     Context ctx_;
     SuperblockAudit sbAudit_{*this};
-    /**
-     * Registry handles for the shim cross-check, resolved on the first
-     * sweep and reused: findCounter is a string-keyed map probe, and
-     * checkStatShims runs every 64th protocol step -- re-looking up the
-     * same eight fixed names each sweep made the lookup itself the
-     * auditor's hottest path. Handles stay valid for the auditor's
-     * lifetime (components outlive it; see ReplicatedOS member order).
-     */
-    struct StatHandles {
-        bool resolved = false;
-        const obs::Counter *readFaults = nullptr;
-        const obs::Counter *writeFaults = nullptr;
-        const obs::Counter *invalidations = nullptr;
-        const obs::Counter *pageTransfers = nullptr;
-        const obs::Counter *bytesTransferred = nullptr;
-        const obs::Counter *extraCycles = nullptr;
-        const obs::Counter *netMessages = nullptr;
-        const obs::Counter *netBytes = nullptr;
-    } handles_;
     // Plain counters on purpose: registry-attached audit stats would
     // change snapshot()/dump() output and break golden comparisons
     // under XISA_AUDIT=1.

@@ -53,13 +53,8 @@ dsmStorm(uint64_t seed)
     nc.faults.spikeProb = 0.1;
     nc.faults = check::SchedulePerturber::perturbFaults(nc.faults, seed);
     Interconnect net(nc);
-    obs::StatRegistry reg;
-    net.registerStats(reg, "net");
-
     DsmSpace dsm(3, &net, {3.5, 2.4, 2.4});
-    dsm.registerStats(reg);
-    check::InvariantAuditor auditor(dsm, &reg, &net, "net",
-                                    {nc.faults.seed, seed});
+    check::InvariantAuditor auditor(dsm, {nc.faults.seed, seed});
     auditor.attach();
 
     constexpr uint64_t kBase = 0x10000000ull;

@@ -126,25 +126,13 @@ DsmSpace::xfer(int peer, uint64_t bytes, int forNode, uint64_t vpage)
             fd_->observeCut(peer);
         return x;
     }
-    if (!fd_) {
-        // Legacy contract (possibly with a circuit breaker layered on):
-        // no recovery to run, so an undeliverable message is fatal.
-        auto r = net_->reliableSendTo(peer, bytes, freq, forNode);
-        if (!r.delivered)
-            fatal("dsm: transfer to node %d failed fast with no "
-                  "recovery armed (open circuit on a dead link?)",
-                  peer);
-        noteDelivery(forNode, peer, vpage,
-                     nodeEpoch_[static_cast<size_t>(forNode)]);
-        return {r.cycles, r.duplicate, true, false};
-    }
     Xfer x;
     // With the breaker open most rounds fail fast and only the seeded
     // half-open probes feed the detector, so the number of rounds to a
     // declared death is bounded but larger than the miss threshold.
     constexpr int kMaxRounds = 4096;
     for (int round = 0; round < kMaxRounds; ++round) {
-        auto r = net_->reliableSendTo(peer, bytes, freq, forNode);
+        auto r = net_->reliableSend(bytes, freq, peer, forNode);
         x.cycles += r.cycles;
         if (r.delivered) {
             x.duplicate = r.duplicate;
@@ -152,6 +140,11 @@ DsmSpace::xfer(int peer, uint64_t bytes, int forNode, uint64_t vpage)
                          nodeEpoch_[static_cast<size_t>(forNode)]);
             return x;
         }
+        if (!fd_)
+            // No recovery to run, so an undeliverable message is fatal.
+            fatal("dsm: transfer to node %d failed fast with no "
+                  "recovery armed (open circuit on a dead link?)",
+                  peer);
         if (fd_->dead(peer)) {
             recoverDeadNode(peer);
             x.ok = false;
@@ -348,14 +341,6 @@ DsmSpace::recoverDeadNode(int dead)
     auditStep("recover_node", static_cast<uint64_t>(dead));
     if (deathHandler_)
         deathHandler_(dead);
-}
-
-DsmStats
-DsmSpace::stats() const
-{
-    return {readFaults_.value(),     writeFaults_.value(),
-            invalidations_.value(),  pageTransfers_.value(),
-            bytesTransferred_.value(), extraCycles_.value()};
 }
 
 void
@@ -915,9 +900,9 @@ DsmSpace::saveState(ByteWriter &w) const
         w.u64(vpage);
         w.u32(static_cast<uint32_t>(node));
     }
-    // Protocol counters. Without these a restored container's stats()
-    // shim silently reported zeros while the run's registry history was
-    // gone -- the snapshot must carry the counts the pages embody.
+    // Protocol counters. Without these a restored container's registry
+    // reported zeros while the run's history was gone -- the snapshot
+    // must carry the counts the pages embody.
     w.u64(readFaults_.value());
     w.u64(writeFaults_.value());
     w.u64(invalidations_.value());

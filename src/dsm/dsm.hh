@@ -56,22 +56,6 @@ enum class PageState : uint8_t { Invalid = 0, Shared, Modified };
 enum class DsmMode : uint8_t { MigratePages, RemoteAccess };
 
 /**
- * Protocol and traffic statistics of one DSM space. Deprecated as
- * storage: the live counts are registry-backed obs::Counters owned by
- * the DsmSpace; this struct remains as the value type the stats() shim
- * materializes for existing callers.
- */
-struct DsmStats {
-    uint64_t readFaults = 0;
-    uint64_t writeFaults = 0;
-    uint64_t invalidations = 0;
-    uint64_t pagesTransferred = 0;
-    uint64_t bytesTransferred = 0;
-    /** Protocol-added cycles charged to faulting accesses. */
-    uint64_t extraCycles = 0;
-};
-
-/**
  * One process's distributed address space spanning all nodes.
  *
  * Single-owner on construction; ports (one per node) implement MemPort
@@ -123,8 +107,6 @@ class DsmSpace
     /** Read bytes through the protocol on behalf of `node`. */
     uint64_t pull(int node, uint64_t addr, void *dst, size_t n);
 
-    /** Deprecated shim materializing the registry-backed counters. */
-    DsmStats stats() const;
     /**
      * Attach the protocol counters to `reg`: aggregates under `dsm.*`
      * plus per-node breakdowns under `node<N>.dsm.*` (read_faults,
@@ -243,10 +225,6 @@ class DsmSpace
     }
     /** Regression knob: disable the epoch fence (default on). */
     void setEpochFencing(bool on) { fencing_ = on; }
-    /** Stale pre-heal messages the epoch fence rejected. */
-    uint64_t fencedMessages() const { return fencedMessages_.value(); }
-    /** Divergent pages re-synced from the majority side at heals. */
-    uint64_t pagesResynced() const { return pagesResynced_.value(); }
 
     /**
      * Install a hook invoked after every protocol step (fault, fill,
@@ -327,9 +305,9 @@ class DsmSpace
         bool fenced = false;
     };
     /** Reliable transfer to `peer` charged at `forNode`'s clock, for
-     *  protocol traffic about `vpage`. The legacy reliableSend() when
-     *  recovery is unarmed; peer-aware with death handling otherwise.
-     *  Fails fast (fenced) across an active partition cut. */
+     *  protocol traffic about `vpage`. Panics on an undeliverable
+     *  message when recovery is unarmed; runs death handling
+     *  otherwise. Fails fast (fenced) across an active partition cut. */
     Xfer xfer(int peer, uint64_t bytes, int forNode, uint64_t vpage);
     /** Record one DELIVERED protocol message `from` -> `to` carrying
      *  `epoch`: flags cross-cut deliveries and per-peer epoch

@@ -117,9 +117,10 @@ struct RetryPolicy {
     double backoffCapUs = 320.0;
 
     /** Circuit breaker: after this many consecutive timeouts to one
-     *  peer the circuit opens and reliableSendTo() fails fast
-     *  (xfault.circuit_open) instead of blocking callers through a
-     *  permanent partition. 0 disables it (the legacy behaviour). */
+     *  peer the circuit opens and a reliableSend() naming that peer
+     *  fails fast (xfault.circuit_open) instead of blocking callers
+     *  through a permanent partition. 0 disables it (the legacy
+     *  behaviour). */
     int breakerThreshold = 0;
     /** Half-open probing while open: one real attempt is let through
      *  every 2..(2+breakerProbeSpread) suppressed calls, with the gap

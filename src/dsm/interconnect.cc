@@ -1,85 +1,69 @@
 #include "dsm/interconnect.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace xisa {
 
 Interconnect::SendResult
-Interconnect::send(uint64_t bytes, double freqGHz, int from, int to)
+Interconnect::send(uint64_t bytes, double freqGHz, int peer, int self)
 {
+    FailureDetector *fd = peer >= 0 ? detector_ : nullptr;
+    if (fd)
+        fd->tick();
     SendResult r;
-    if (plan_.empty()) {
+    if (fd && fd->crashed(peer)) {
+        // The bytes hit the wire and vanish into a dead host: full wire
+        // traffic and transfer time, no ack, and -- because the link
+        // itself is fine -- no FaultDecision consumed from the plan.
+        ++messages_;
+        bytes_.add(bytes);
+        r.status = SendStatus::Dropped;
         r.seconds = transferSeconds(bytes);
-        r.cycles = charge(bytes, freqGHz);
-        return r;
-    }
-    FaultDecision d = plan_.nextBetween(from, to);
-    if (d.partitioned) {
+        ++deadSends_;
+    } else if (plan_.empty()) {
+        ++messages_;
+        bytes_.add(bytes);
+        r.seconds = transferSeconds(bytes);
+    } else if (FaultDecision d = plan_.nextBetween(self, peer);
+               d.partitioned) {
         // Fail-fast NIC error: nothing crossed the wire, the sender
         // only paid the link latency to learn the path is down.
         r.status = SendStatus::Partitioned;
         r.sidedCut = d.sidedCut;
         r.seconds = cfg_.latencyUs * 1e-6;
-        r.cycles = static_cast<uint64_t>(r.seconds * freqGHz * 1e9);
         ++partitionRejects_;
-        return r;
-    }
-    // The message went on the wire: count it whether or not it arrives.
-    ++messages_;
-    bytes_.add(bytes);
-    double serialization = transferSeconds(bytes) - cfg_.latencyUs * 1e-6;
-    r.seconds = cfg_.latencyUs * 1e-6 +
-                serialization * d.bandwidthFactor +
-                d.extraLatencySeconds;
-    if (d.extraLatencySeconds > 0)
-        ++spikes_;
-    if (!d.delivered) {
-        r.status = SendStatus::Dropped;
-        ++drops_;
-    } else if (d.duplicated) {
-        // The retransmission is real wire traffic too.
-        r.duplicate = true;
+    } else {
+        // The message went on the wire: count it whether or not it
+        // arrives.
         ++messages_;
         bytes_.add(bytes);
-        ++duplicates_;
+        double serialization =
+            transferSeconds(bytes) - cfg_.latencyUs * 1e-6;
+        r.seconds = cfg_.latencyUs * 1e-6 +
+                    serialization * d.bandwidthFactor +
+                    d.extraLatencySeconds;
+        if (d.extraLatencySeconds > 0)
+            ++spikes_;
+        if (!d.delivered) {
+            r.status = SendStatus::Dropped;
+            ++drops_;
+        } else if (d.duplicated) {
+            // The retransmission is real wire traffic too.
+            r.duplicate = true;
+            ++messages_;
+            bytes_.add(bytes);
+            ++duplicates_;
+        }
     }
     r.cycles = static_cast<uint64_t>(r.seconds * freqGHz * 1e9);
-    return r;
-}
-
-Interconnect::SendResult
-Interconnect::deadSend(uint64_t bytes, double freqGHz)
-{
-    // The bytes hit the wire and vanish into a dead host: full wire
-    // traffic and transfer time, no ack, and -- because the link itself
-    // is fine -- no FaultDecision consumed from the plan.
-    SendResult r;
-    ++messages_;
-    bytes_.add(bytes);
-    r.status = SendStatus::Dropped;
-    r.seconds = transferSeconds(bytes);
-    r.cycles = static_cast<uint64_t>(r.seconds * freqGHz * 1e9);
-    ++deadSends_;
-    return r;
-}
-
-Interconnect::SendResult
-Interconnect::sendTo(int peer, uint64_t bytes, double freqGHz, int self)
-{
-    if (!detector_)
-        return send(bytes, freqGHz, self, peer);
-    detector_->tick();
-    SendResult r = detector_->crashed(peer)
-                       ? deadSend(bytes, freqGHz)
-                       : send(bytes, freqGHz, self, peer);
+    if (!fd)
+        return r;
     if (r.sidedCut)
         // A topology cut, not a dead host: suspicion may not escalate
         // to a death verdict (the cut will heal; a fence would not).
-        detector_->observeCut(peer);
+        fd->observeCut(peer);
     else
-        detector_->observeSend(peer, r.status == SendStatus::Delivered);
+        fd->observeSend(peer, r.status == SendStatus::Delivered);
     return r;
 }
 
@@ -102,16 +86,15 @@ Interconnect::circuitOpen(int peer) const
 }
 
 Interconnect::ReliableResult
-Interconnect::reliableSendTo(int peer, uint64_t bytes, double freqGHz,
-                             int self)
+Interconnect::reliableSend(uint64_t bytes, double freqGHz, int peer,
+                           int self)
 {
-    const bool breakerOn = cfg_.retry.breakerThreshold > 0;
-    if (!detector_ && !breakerOn && self < 0)
-        return reliableSend(bytes, freqGHz);
-
+    FailureDetector *fd = peer >= 0 ? detector_ : nullptr;
+    Breaker *b = peer >= 0 && cfg_.retry.breakerThreshold > 0
+                     ? &breakerState(peer)
+                     : nullptr;
     ReliableResult total;
     total.attempts = 0;
-    Breaker *b = breakerOn ? &breakerState(peer) : nullptr;
     for (;;) {
         if (b && b->open) {
             if (++b->sinceProbe < b->probeGap) {
@@ -132,7 +115,7 @@ Interconnect::reliableSendTo(int peer, uint64_t bytes, double freqGHz,
                         cfg_.retry.breakerProbeSpread + 1)));
             ++circuitProbes_;
         }
-        SendResult r = sendTo(peer, bytes, freqGHz, self);
+        SendResult r = send(bytes, freqGHz, peer, self);
         ++total.attempts;
         total.seconds += r.seconds;
         total.cycles += r.cycles;
@@ -158,7 +141,7 @@ Interconnect::reliableSendTo(int peer, uint64_t bytes, double freqGHz,
                                           1)));
             }
         }
-        if (detector_ && detector_->dead(peer)) {
+        if (fd && fd->dead(peer)) {
             // Declared dead: the caller's recovery protocol takes over.
             total.delivered = false;
             return total;
@@ -169,11 +152,11 @@ Interconnect::reliableSendTo(int peer, uint64_t bytes, double freqGHz,
             return total;
         }
         if (total.attempts >= cfg_.retry.maxAttempts) {
-            if (detector_) {
+            if (fd) {
                 // A peer we cannot reach within the full retry budget
                 // is fenced rather than panicked on: recovery treats a
                 // permanently partitioned peer like a dead one.
-                detector_->declareDead(peer);
+                fd->declareDead(peer);
                 total.delivered = false;
                 return total;
             }
@@ -184,40 +167,6 @@ Interconnect::reliableSendTo(int peer, uint64_t bytes, double freqGHz,
         // Ack timeout, then capped exponential backoff.
         double waitUs = cfg_.retry.timeoutUs +
                         cfg_.retry.backoffForAttempt(total.attempts);
-        uint64_t waitCycles =
-            static_cast<uint64_t>(waitUs * 1e-6 * freqGHz * 1e9);
-        total.seconds += waitUs * 1e-6;
-        total.cycles += waitCycles;
-        ++retries_;
-        backoffCycles_.add(waitCycles);
-    }
-}
-
-Interconnect::ReliableResult
-Interconnect::reliableSend(uint64_t bytes, double freqGHz)
-{
-    ReliableResult total;
-    if (plan_.empty()) {
-        total.seconds = transferSeconds(bytes);
-        total.cycles = charge(bytes, freqGHz);
-        return total;
-    }
-    for (int attempt = 1;; ++attempt) {
-        SendResult r = send(bytes, freqGHz);
-        total.attempts = attempt;
-        total.seconds += r.seconds;
-        total.cycles += r.cycles;
-        if (r.status == SendStatus::Delivered) {
-            total.duplicate = r.duplicate;
-            return total;
-        }
-        if (attempt >= cfg_.retry.maxAttempts)
-            fatal("interconnect: message undeliverable after %d "
-                  "attempts (permanent partition?)",
-                  attempt);
-        // Ack timeout, then capped exponential backoff.
-        double waitUs = cfg_.retry.timeoutUs +
-                        cfg_.retry.backoffForAttempt(attempt);
         uint64_t waitCycles =
             static_cast<uint64_t>(waitUs * 1e-6 * freqGHz * 1e9);
         total.seconds += waitUs * 1e-6;

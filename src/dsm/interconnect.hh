@@ -71,10 +71,10 @@ class Interconnect
     struct ReliableResult {
         int attempts = 1;
         bool duplicate = false;
-        /** False when reliableSendTo() gave up: the peer was declared
-         *  dead by the failure detector, or the circuit breaker opened
-         *  and this call failed fast. reliableSend() never clears it
-         *  (it panics instead, the legacy contract). */
+        /** False when a peer-aware reliableSend() gave up: the peer
+         *  was declared dead by the failure detector, or the circuit
+         *  breaker opened and this call failed fast. A peer-less call
+         *  never clears it (it panics instead). */
         bool delivered = true;
         double seconds = 0;
         uint64_t cycles = 0;
@@ -107,54 +107,41 @@ class Interconnect
     }
 
     /**
-     * Attempt to send one message. Dropped messages still count as wire
-     * traffic (the bytes were sent, then lost); partitioned attempts
-     * fail fast with no wire traffic and cost only the link latency.
-     * A duplicate delivery counts the retransmission as extra traffic.
-     * `from`/`to` identify the endpoints for sided cut-set windows;
-     * the default (-1, -1) is a peer-less message, which crosses
-     * whole-link cuts only -- byte-identical to the historical send().
+     * Attempt to send one message to `peer` on behalf of `self`.
+     * Dropped messages still count as wire traffic (the bytes were
+     * sent, then lost); partitioned attempts fail fast with no wire
+     * traffic and cost only the link latency. A duplicate delivery
+     * counts the retransmission as extra traffic. `self`/`peer` name
+     * the endpoints for sided cut-set windows; -1 (a peer-less
+     * message) crosses whole-link cuts only.
+     *
+     * With a failure detector armed and `peer >= 0`, the attempt also
+     * advances the detector's link-event clock, fails (without
+     * consuming a fault decision) when `peer` has actually crashed,
+     * and feeds the outcome to the detector as evidence; a sided-cut
+     * rejection goes through FailureDetector::observeCut (suspicion
+     * clamped below Dead).
      */
-    SendResult send(uint64_t bytes, double freqGHz, int from = -1,
-                    int to = -1);
+    SendResult send(uint64_t bytes, double freqGHz, int peer = -1,
+                    int self = -1);
 
     /**
      * Send until delivered, charging ack timeouts and capped
-     * exponential backoff for every failed attempt; panics after
-     * Config::retry.maxAttempts (an unrecoverable link). Deterministic
-     * under the seeded plan.
-     */
-    ReliableResult reliableSend(uint64_t bytes, double freqGHz);
-
-    /**
-     * Peer-aware attempt: like send(), but advances the failure
-     * detector's link-event clock, fails (without consuming a fault
-     * decision) when `peer` has actually crashed, and feeds the
-     * outcome to the detector as evidence. Without an armed detector
-     * this is exactly send(). A sided-cut rejection is fed through
-     * FailureDetector::observeCut (suspicion clamped below Dead).
-     * `self` names the sending peer for cut-set windows; -1 (every
-     * legacy caller) leaves sided cuts unmatched.
-     */
-    SendResult sendTo(int peer, uint64_t bytes, double freqGHz,
-                      int self = -1);
-
-    /**
-     * Peer-aware reliable transfer. With neither a failure detector
-     * nor a circuit breaker armed this is exactly reliableSend()
-     * (byte-identical cost and fault-stream consumption). Armed, it
-     * additionally:
-     *  - feeds every outcome to the failure detector and returns
-     *    delivered = false once the peer is declared Dead (instead of
-     *    panicking at maxAttempts, it fences the peer);
-     *  - opens the per-peer circuit after
-     *    RetryPolicy::breakerThreshold consecutive timeouts
+     * exponential backoff for every failed attempt. Deterministic
+     * under the seeded plan. After Config::retry.maxAttempts it panics
+     * (an unrecoverable link), unless a failure detector is armed and
+     * `peer >= 0`: then it fences the peer and returns
+     * delivered = false. With `peer >= 0` it additionally
+     *  - returns delivered = false once an armed detector declares the
+     *    peer Dead;
+     *  - when RetryPolicy::breakerThreshold > 0, opens the per-peer
+     *    circuit after that many consecutive timeouts
      *    (xfault.circuit_open) and from then on fails fast, letting a
      *    seeded half-open probe through every few calls; a delivered
      *    probe closes the circuit.
      */
-    ReliableResult reliableSendTo(int peer, uint64_t bytes,
-                                  double freqGHz, int self = -1);
+    ReliableResult reliableSend(uint64_t bytes, double freqGHz,
+                                int peer = -1, int self = -1);
 
     /** Arm the crash-tolerance layer: the detector is owned by the
      *  caller (the OS container or the test) and shared with the DSM. */
@@ -169,9 +156,6 @@ class Interconnect
     FaultPlan &faultPlan() { return plan_; }
     const RetryPolicy &retryPolicy() const { return cfg_.retry; }
 
-    /** Deprecated shims reading the registry-backed counters. */
-    uint64_t messages() const { return messages_.value(); }
-    uint64_t bytes() const { return bytes_.value(); }
     /**
      * Attach the traffic counters as `<prefix>.messages/.bytes`, and
      * the fault/recovery counters under the fixed `xfault.` namespace
@@ -207,10 +191,6 @@ class Interconnect
     };
 
     Breaker &breakerState(int peer);
-    /** A send into a host that has actually crashed: real wire
-     *  traffic, no ack, and no FaultDecision consumed (the link is
-     *  fine; the host is gone). */
-    SendResult deadSend(uint64_t bytes, double freqGHz);
 
     Config cfg_;
     FaultPlan plan_;

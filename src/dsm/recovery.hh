@@ -168,8 +168,6 @@ class FailureDetector
     void declareDead(int node);
 
     int numNodes() const { return static_cast<int>(obs_.size()); }
-    uint64_t deaths() const { return deaths_.value(); }
-    uint64_t falseSuspects() const { return falseSuspects_.value(); }
 
     /** Attach xfault.deaths / xfault.false_suspects. */
     void registerStats(obs::StatRegistry &reg);

@@ -1,5 +1,9 @@
 #include "exp/spec.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,6 +48,38 @@ joinList(const std::vector<std::string> &items)
 specFail(const Config &conf, const std::string &msg)
 {
     throw ConfigError(conf.name() + ": " + msg);
+}
+
+/**
+ * One number of a list or plan entry of `section.key`, read as a whole
+ * token: "1@" or "40s" fail at the key's line instead of reading as
+ * 1@0 or 40. T is int (decimal, in range) or double (finite).
+ */
+template <typename T>
+T
+entryNumber(const Config &conf, const std::string &section,
+            const std::string &key, const std::string &tok,
+            const std::string &entry)
+{
+    static_assert(std::is_same_v<T, int> || std::is_same_v<T, double>);
+    char *end = nullptr;
+    bool ok = !tok.empty() &&
+              !std::isspace(static_cast<unsigned char>(tok.front()));
+    T v{};
+    if constexpr (std::is_same_v<T, int>) {
+        errno = 0;
+        long l = std::strtol(tok.c_str(), &end, 10);
+        ok = ok && errno == 0 && l >= INT_MIN && l <= INT_MAX;
+        v = static_cast<int>(l);
+    } else {
+        v = std::strtod(tok.c_str(), &end);
+        ok = ok && std::isfinite(v);
+    }
+    if (!ok || *end != '\0')
+        conf.failAt(section, key,
+                    "[" + section + "] " + key + ": bad number '" + tok +
+                        "' in entry '" + entry + "'");
+    return v;
 }
 
 /** "x86*8" -> ("x86", 8); bare names count 1. */
@@ -484,11 +520,11 @@ readCrashes(Config &conf, ClusterSpec &c)
             specFail(conf, "[crashes] plan entries want "
                            "MACHINE@SECONDS, got '" + ev + "'");
         CrashSpec cs;
-        char *end = nullptr;
-        cs.machine =
-            static_cast<int>(std::strtol(ev.c_str(), &end, 10));
-        cs.time = std::strtod(ev.c_str() + at + 1, nullptr);
-        if (!end || *end != '@' || cs.machine < 0 || cs.time < 0)
+        cs.machine = entryNumber<int>(conf, "crashes", "plan",
+                                      ev.substr(0, at), ev);
+        cs.time = entryNumber<double>(conf, "crashes", "plan",
+                                      ev.substr(at + 1), ev);
+        if (cs.machine < 0 || cs.time < 0)
             specFail(conf, "[crashes] plan: malformed '" + ev + "'");
         c.crashPlan.push_back(cs);
     }
@@ -719,14 +755,9 @@ parseExperiment(Config &conf)
                                 std::string(key) + " exceeds 20M requests");
         if (conf.has("traffic", "placement")) {
             for (const std::string &p :
-                 conf.getList("traffic", "placement")) {
-                try {
-                    t.placement.push_back(std::stoi(p));
-                } catch (const std::exception &) {
-                    specFail(conf, "[traffic] bad placement entry '" +
-                                       p + "'");
-                }
-            }
+                 conf.getList("traffic", "placement"))
+                t.placement.push_back(entryNumber<int>(
+                    conf, "traffic", "placement", p, p));
             if (static_cast<int>(t.placement.size()) != t.shards)
                 specFail(conf, "[traffic] placement must list one "
                                "machine per shard");
@@ -749,15 +780,15 @@ parseExperiment(Config &conf)
                              "[traffic] migrate_plan entries are "
                              "SHARD@FRAC->NODE, got '" + ev + "'");
                 ShardMigrationSpec m;
-                try {
-                    m.shard = std::stoi(ev.substr(0, at));
-                    m.time = std::stod(
-                        ev.substr(at + 1, arrow - at - 1));
-                    m.node = std::stoi(ev.substr(arrow + 2));
-                } catch (const std::exception &) {
-                    specFail(conf, "[traffic] bad migrate_plan entry "
-                                   "'" + ev + "'");
-                }
+                m.shard = entryNumber<int>(conf, "traffic",
+                                           "migrate_plan",
+                                           ev.substr(0, at), ev);
+                m.time = entryNumber<double>(
+                    conf, "traffic", "migrate_plan",
+                    ev.substr(at + 1, arrow - at - 1), ev);
+                m.node = entryNumber<int>(conf, "traffic",
+                                          "migrate_plan",
+                                          ev.substr(arrow + 2), ev);
                 if (m.shard < 0 || m.shard >= t.shards)
                     specFail(conf, "[traffic] migrate_plan shard out "
                                    "of range");
@@ -816,16 +847,14 @@ parseExperiment(Config &conf)
                                        ev + "'");
                 FailureSpec f;
                 f.kind = ev.substr(0, colon);
-                try {
-                    f.domain = std::stoi(
-                        ev.substr(colon + 1, at - colon - 1));
-                    f.at = std::stod(
-                        ev.substr(at + 1, dots - at - 1));
-                    f.heal = std::stod(ev.substr(dots + 2));
-                } catch (const std::exception &) {
-                    specFail(conf, "[failures] bad plan entry '" +
-                                       ev + "'");
-                }
+                f.domain = entryNumber<int>(
+                    conf, "failures", "plan",
+                    ev.substr(colon + 1, at - colon - 1), ev);
+                f.at = entryNumber<double>(
+                    conf, "failures", "plan",
+                    ev.substr(at + 1, dots - at - 1), ev);
+                f.heal = entryNumber<double>(conf, "failures", "plan",
+                                             ev.substr(dots + 2), ev);
                 if (f.kind != "tor" && f.kind != "agg" &&
                     f.kind != "pdu" && f.kind != "partition")
                     specFail(conf,

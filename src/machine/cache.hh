@@ -33,24 +33,6 @@ struct CacheConfig {
     uint32_t missPenalty = 10; ///< cycles added on miss at this level
 };
 
-/**
- * Hit/miss summary. Deprecated as storage: the live counts are
- * registry-backed obs::Counters owned by the Cache; this struct remains
- * as the value type the stats() shim materializes for existing callers.
- */
-struct CacheStats {
-    uint64_t accesses = 0;
-    uint64_t misses = 0;
-
-    double
-    missRatio() const
-    {
-        return accesses ? static_cast<double>(misses) /
-                              static_cast<double>(accesses)
-                        : 0.0;
-    }
-};
-
 /** One level of set-associative cache with true-LRU replacement. */
 class Cache
 {
@@ -201,11 +183,6 @@ class Cache
     /** Forget every host pointer. */
     void dropHostLines();
 
-    /** Deprecated shim over the registry-backed counters. */
-    CacheStats stats() const
-    {
-        return {accesses_.value(), misses_.value()};
-    }
     /**
      * Attach this cache's counters to `reg` as `<prefix>.accesses` /
      * `<prefix>.misses` (e.g. "node0.l1d.misses"). Idempotent per cache

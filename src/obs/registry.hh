@@ -2,14 +2,14 @@
  * @file
  * The unified statistics layer (gem5-style stat registry).
  *
- * Every subsystem that used to own ad-hoc counters (Interconnect
- * message/byte counts, CacheStats, DsmStats, bench-local RunningStats)
- * now registers named stats -- counters, gauges, histograms -- into a
- * StatRegistry. Names are hierarchical dotted paths ("dsm.page_transfers",
- * "node0.l1d.misses"); the registry can render them human-readable or as
- * JSON, reset them all at once (the only reset path; components keep no
- * reset of their own), and snapshot/diff them per measured region
- * (ScopedStatEpoch).
+ * Every subsystem registers its named stats -- counters, gauges,
+ * histograms -- into a StatRegistry, and readers look them up there by
+ * name: the Interconnect traffic, cache and hDSM protocol counters have
+ * no value-copy getters. Names are hierarchical dotted paths
+ * ("dsm.page_transfers", "node0.core0.l1d.misses"); the registry can
+ * render them human-readable or as JSON, reset them all at once (the
+ * only reset path; components keep no reset of their own), and
+ * snapshot/diff them per measured region (ScopedStatEpoch).
  *
  * Registries are instantiable: components that may coexist (two
  * ReplicatedOS containers, three ClusterSims) each own one, so names

@@ -122,8 +122,7 @@ ReplicatedOS::ReplicatedOS(const MultiIsaBinary &bin, OsConfig cfg)
             check::SchedulePerturber::envSeed());
     if (check::auditRequested()) {
         auditor_ = std::make_unique<check::InvariantAuditor>(
-            *dsm_, &stats_, &net_, "net",
-            check::InvariantAuditor::Context{
+            *dsm_, check::InvariantAuditor::Context{
                 cfg_.net.faults.seed,
                 check::SchedulePerturber::envSeed()});
         auditor_->attach();
@@ -657,28 +656,6 @@ ReplicatedOS::heapObjects() const
     return out;
 }
 
-double
-ReplicatedOS::l1iMissRatio(int node) const
-{
-    CacheStats total;
-    for (const Core &c : nodes_[static_cast<size_t>(node)].cores) {
-        total.accesses += c.l1i.stats().accesses;
-        total.misses += c.l1i.stats().misses;
-    }
-    return total.missRatio();
-}
-
-double
-ReplicatedOS::l1dMissRatio(int node) const
-{
-    CacheStats total;
-    for (const Core &c : nodes_[static_cast<size_t>(node)].cores) {
-        total.accesses += c.l1d.stats().accesses;
-        total.misses += c.l1d.stats().misses;
-    }
-    return total.missRatio();
-}
-
 void
 ReplicatedOS::updateVdsoFlag()
 {
@@ -832,8 +809,7 @@ ReplicatedOS::handleMigrateTrap(OsThread &t, uint32_t siteId)
             }
         }
         Interconnect::SendResult r =
-            fd_ ? net_.sendTo(dest, kContextMsgBytes, dst.spec.freqGHz)
-                : net_.send(kContextMsgBytes, dst.spec.freqGHz);
+            net_.send(kContextMsgBytes, dst.spec.freqGHz, dest);
         sendSeconds += r.seconds;
         if (r.status == SendStatus::Delivered) {
             if (fd_)

@@ -189,11 +189,6 @@ class ReplicatedOS
      */
     void restore(const std::vector<uint8_t> &bytes);
 
-    /** Aggregate L1-I miss ratio across one node's cores (Table 1). */
-    double l1iMissRatio(int node) const;
-    /** Aggregate L1-D miss ratio across one node's cores. */
-    double l1dMissRatio(int node) const;
-
     /** Invoked after every scheduling quantum (experiment hooks, e.g.
      *  re-requesting migration to ping-pong a process between nodes). */
     std::function<void(ReplicatedOS &)> onQuantum;

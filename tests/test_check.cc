@@ -7,7 +7,7 @@
  *    must be capped before the shift);
  *  - ClusterSim lost-work accounting when a job migrates and the
  *    destination machine later crashes (work must be charged once);
- *  - DsmStats shim drift after checkpoint restore (the snapshot now
+ *  - DSM counter drift after checkpoint restore (the snapshot now
  *    carries the protocol counters);
  *  - software-TLB shootdown completeness across multiple ports.
  */
@@ -17,6 +17,7 @@
 #include <climits>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "sched/cluster.hh"
 #include "sched/jobsets.hh"
 #include "sched/profile.hh"
+#include "stat_read.hh"
 #include "util/bytes.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -273,46 +275,31 @@ TEST(CheckClusterAccounting, MigratedJobLosesOnlyPostMigrationWork)
     EXPECT_NEAR(r.lostWorkSeconds, 0.5, 1e-6);
 }
 
-// --- Satellite 3: DsmStats shim across checkpoint restore ------------
+// --- DSM counters across checkpoint restore --------------------------
 
 TEST(CheckDsmStatsRestore, RestoredCountersMatchTheCheckpointedRun)
 {
     MultiIsaBinary bin =
         compileModule(buildWorkload(WorkloadId::CG, ProblemClass::A, 1));
     OsConfig cfg = OsConfig::dualServer();
+    // The aggregate dsm.* counters and their node<N>.dsm.* breakdowns.
+    auto dsmStats = [](ReplicatedOS &os) {
+        std::map<std::string, double> out;
+        for (const auto &[name, v] : os.statRegistry().snapshot())
+            if (name.find("dsm.") != std::string::npos)
+                out.emplace(name, v);
+        return out;
+    };
     ReplicatedOS os(bin, cfg);
     os.load(0);
     os.migrateProcess(1);
     os.run();
-    const DsmStats want = os.dsm().stats();
-    ASSERT_GT(want.pagesTransferred, 0u)
+    ASSERT_GT(counter(os.statRegistry(), "dsm.page_transfers"), 0u)
         << "migration should have moved pages";
-    std::vector<uint8_t> ckpt = os.checkpoint();
 
     ReplicatedOS fresh(bin, cfg);
-    fresh.restore(ckpt);
-    const DsmStats got = fresh.dsm().stats();
-    EXPECT_EQ(got.readFaults, want.readFaults);
-    EXPECT_EQ(got.writeFaults, want.writeFaults);
-    EXPECT_EQ(got.invalidations, want.invalidations);
-    EXPECT_EQ(got.pagesTransferred, want.pagesTransferred);
-    EXPECT_EQ(got.bytesTransferred, want.bytesTransferred);
-    EXPECT_EQ(got.extraCycles, want.extraCycles);
-
-    // The shim must agree with the registry-backed counters and the
-    // per-node breakdown it aggregates.
-    const obs::Counter *rf =
-        fresh.statRegistry().findCounter("dsm.read_faults");
-    ASSERT_NE(rf, nullptr);
-    EXPECT_EQ(rf->value(), want.readFaults);
-    uint64_t perNode = 0;
-    for (int n = 0; n < 2; ++n) {
-        const obs::Counter *c = fresh.statRegistry().findCounter(
-            "node" + std::to_string(n) + ".dsm.read_faults");
-        ASSERT_NE(c, nullptr);
-        perNode += c->value();
-    }
-    EXPECT_EQ(perNode, want.readFaults);
+    fresh.restore(os.checkpoint());
+    EXPECT_EQ(dsmStats(fresh), dsmStats(os));
 }
 
 // --- Interp timing model must survive node-table growth --------------
@@ -347,12 +334,8 @@ TEST(CheckAuditor, LossyStormPassesAndCountsChecks)
     nc.faults.dupProb = 0.10;
     nc.faults.spikeProb = 0.10;
     Interconnect net(nc);
-    obs::StatRegistry reg;
-    net.registerStats(reg, "net");
     DsmSpace dsm(3, &net, {1.0, 1.0, 1.0});
-    dsm.registerStats(reg);
-    check::InvariantAuditor auditor(dsm, &reg, &net, "net",
-                                    {nc.faults.seed, 0});
+    check::InvariantAuditor auditor(dsm, {nc.faults.seed, 0});
     auditor.attach();
 
     Rng rng(42);
@@ -387,12 +370,6 @@ writeCounters(ByteWriter &w, int nodes, uint64_t aggReadFaults = 0)
         w.u64(0);
 }
 
-check::InvariantAuditor
-makeAuditor(DsmSpace &dsm)
-{
-    return check::InvariantAuditor(dsm, nullptr, nullptr, "", {});
-}
-
 } // namespace
 
 TEST(CheckAuditor, FlagsPageResidentWhileDirectorySaysInvalid)
@@ -416,7 +393,7 @@ TEST(CheckAuditor, FlagsPageResidentWhileDirectorySaysInvalid)
     writeCounters(w, 2);
     ByteReader r(w.out);
     dsm.loadState(r);
-    check::InvariantAuditor auditor = makeAuditor(dsm);
+    check::InvariantAuditor auditor(dsm, {});
     EXPECT_THROW(auditor.deepCheck("planted"), PanicError);
 }
 
@@ -436,7 +413,7 @@ TEST(CheckAuditor, FlagsValidStateWithNoBackingCopy)
     writeCounters(w, 2);
     ByteReader r(w.out);
     dsm.loadState(r);
-    check::InvariantAuditor auditor = makeAuditor(dsm);
+    check::InvariantAuditor auditor(dsm, {});
     EXPECT_THROW(auditor.deepCheck("planted"), PanicError);
 }
 
@@ -462,7 +439,7 @@ TEST(CheckAuditor, FlagsDivergentSharedReplicas)
     writeCounters(w, 2);
     ByteReader r(w.out);
     dsm.loadState(r); // MSI-legal, so the basic checker passes...
-    check::InvariantAuditor auditor = makeAuditor(dsm);
+    check::InvariantAuditor auditor(dsm, {});
     EXPECT_THROW(auditor.deepCheck("planted"), PanicError);
 }
 
@@ -485,7 +462,7 @@ TEST(CheckAuditor, FlagsAggregatePerNodeCounterDrift)
     writeCounters(w, 2, /*aggReadFaults=*/5); // per-node says 0
     ByteReader r(w.out);
     dsm.loadState(r);
-    check::InvariantAuditor auditor = makeAuditor(dsm);
+    check::InvariantAuditor auditor(dsm, {});
     EXPECT_THROW(auditor.deepCheck("planted"), PanicError);
 }
 
@@ -494,7 +471,7 @@ TEST(CheckAuditor, UnfencedHealTripsEpochRegression)
     Interconnect net;
     DsmSpace dsm(2, &net, {1.0, 1.0});
     dsm.setEpochFencing(false);
-    check::InvariantAuditor auditor = makeAuditor(dsm);
+    check::InvariantAuditor auditor(dsm, {});
     auditor.attach();
     uint64_t a = 0xA;
     dsm.populate(0, kPage * vm::kPageSize, &a, 8);
@@ -512,7 +489,9 @@ TEST(CheckAuditor, FencedHealPassesAudit)
 {
     Interconnect net;
     DsmSpace dsm(2, &net, {1.0, 1.0});
-    check::InvariantAuditor auditor = makeAuditor(dsm);
+    obs::StatRegistry reg;
+    dsm.registerStats(reg);
+    check::InvariantAuditor auditor(dsm, {});
     auditor.attach();
     uint64_t a = 0xA;
     dsm.populate(0, kPage * vm::kPageSize, &a, 8);
@@ -522,7 +501,7 @@ TEST(CheckAuditor, FencedHealPassesAudit)
     uint64_t c = 0xC;
     dsm.port(1).write(kPage * vm::kPageSize, &c, 8);
     EXPECT_NO_THROW(dsm.healPartition());
-    EXPECT_EQ(dsm.fencedMessages(), 1u);
+    EXPECT_EQ(counter(reg, "xfault.fenced_messages"), 1u);
     auditor.deepCheck("after fenced heal");
 }
 
@@ -554,16 +533,8 @@ TEST(CheckAuditor, StackRoundTripRunsAndAuditedRunIsIdentical)
     EXPECT_EQ(got.output, ref.output);
     EXPECT_EQ(got.totalInstrs, ref.totalInstrs);
     EXPECT_DOUBLE_EQ(got.makespanSeconds, ref.makespanSeconds);
-    const DsmStats a = audited.dsm().stats();
-    const DsmStats b = plain.dsm().stats();
-    EXPECT_EQ(a.readFaults, b.readFaults);
-    EXPECT_EQ(a.writeFaults, b.writeFaults);
-    EXPECT_EQ(a.invalidations, b.invalidations);
-    EXPECT_EQ(a.pagesTransferred, b.pagesTransferred);
-    EXPECT_EQ(a.bytesTransferred, b.bytesTransferred);
-    EXPECT_EQ(a.extraCycles, b.extraCycles);
-    EXPECT_EQ(audited.net().messages(), plain.net().messages());
-    EXPECT_EQ(audited.net().bytes(), plain.net().bytes());
+    EXPECT_EQ(audited.statRegistry().snapshot(),
+              plain.statRegistry().snapshot());
 }
 
 TEST(CheckAuditor, PerturbedCrashyClusterRunStaysClean)

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "dsm/dsm.hh"
+#include "stat_read.hh"
 #include "util/rng.hh"
 
 namespace xisa {
@@ -20,6 +21,8 @@ constexpr uint64_t kBase = 0x10000000ull;
 struct DsmFixture : ::testing::Test {
     Interconnect net;
     DsmSpace dsm{2, &net, {3.5, 2.4}};
+    obs::StatRegistry reg;
+    DsmFixture() { dsm.registerStats(reg); }
 };
 
 TEST_F(DsmFixture, PopulateMakesHomeNodeModified)
@@ -41,8 +44,8 @@ TEST_F(DsmFixture, RemoteReadSharesThePage)
     EXPECT_GT(cost, 0u) << "remote fetch must cost cycles";
     EXPECT_EQ(dsm.state(0, kBase / vm::kPageSize), PageState::Shared);
     EXPECT_EQ(dsm.state(1, kBase / vm::kPageSize), PageState::Shared);
-    EXPECT_EQ(dsm.stats().readFaults, 1u);
-    EXPECT_EQ(dsm.stats().pagesTransferred, 1u);
+    EXPECT_EQ(counter(reg, "dsm.read_faults"), 1u);
+    EXPECT_EQ(counter(reg, "dsm.page_transfers"), 1u);
     // Second read is a local hit.
     EXPECT_EQ(dsm.port(1).read(kBase, &got, 8), 0u);
 }
@@ -58,7 +61,7 @@ TEST_F(DsmFixture, RemoteWriteInvalidatesOtherCopies)
     EXPECT_GT(cost, 0u);
     EXPECT_EQ(dsm.state(1, kBase / vm::kPageSize), PageState::Modified);
     EXPECT_EQ(dsm.state(0, kBase / vm::kPageSize), PageState::Invalid);
-    EXPECT_GE(dsm.stats().invalidations, 1u);
+    EXPECT_GE(counter(reg, "dsm.invalidations"), 1u);
     // Node 0 reading again must see node 1's write (fresh fetch).
     dsm.port(0).read(kBase, &got, 8);
     EXPECT_EQ(got, 7u);
@@ -70,7 +73,7 @@ TEST_F(DsmFixture, ColdPagesMaterializeWithoutTraffic)
     uint64_t got = 1;
     EXPECT_EQ(dsm.port(0).read(kBase + 0x5000, &got, 8), 0u);
     EXPECT_EQ(got, 0u);
-    EXPECT_EQ(dsm.stats().pagesTransferred, 0u);
+    EXPECT_EQ(counter(reg, "dsm.page_transfers"), 0u);
 }
 
 TEST_F(DsmFixture, WriteThenWriteOnOwnerIsFree)
@@ -87,7 +90,7 @@ TEST_F(DsmFixture, CrossPageAccessFaultsBothPages)
     uint64_t got = 0;
     dsm.port(1).read(kBase + vm::kPageSize - 4, &got, 8);
     EXPECT_EQ(got & 0xffffffffu, 0x1111u);
-    EXPECT_EQ(dsm.stats().pagesTransferred, 2u);
+    EXPECT_EQ(counter(reg, "dsm.page_transfers"), 2u);
 }
 
 TEST_F(DsmFixture, VdsoBroadcastIsVisibleEverywhereWithoutFaults)
@@ -98,7 +101,7 @@ TEST_F(DsmFixture, VdsoBroadcastIsVisibleEverywhereWithoutFaults)
         EXPECT_EQ(dsm.port(n).read(vm::kVdsoBase, &got, 8), 0u);
         EXPECT_EQ(got, 99u);
     }
-    EXPECT_EQ(dsm.stats().readFaults, 0u);
+    EXPECT_EQ(counter(reg, "dsm.read_faults"), 0u);
 }
 
 TEST_F(DsmFixture, PeekNeverDisturbsProtocolState)
@@ -116,6 +119,8 @@ TEST(DsmProperty, RandomOpsMatchShadowMemoryAcrossThreeNodes)
 {
     Interconnect net;
     DsmSpace dsm(3, &net, {3.5, 2.4, 2.4});
+    obs::StatRegistry reg;
+    dsm.registerStats(reg);
     std::map<uint64_t, uint64_t> shadow; // word address -> value
     Rng rng(2024);
     const uint64_t words = 512; // spans two pages
@@ -137,8 +142,8 @@ TEST(DsmProperty, RandomOpsMatchShadowMemoryAcrossThreeNodes)
             dsm.checkInvariants();
     }
     dsm.checkInvariants();
-    EXPECT_GT(dsm.stats().pagesTransferred, 10u);
-    EXPECT_GT(dsm.stats().invalidations, 10u);
+    EXPECT_GT(counter(reg, "dsm.page_transfers"), 10u);
+    EXPECT_GT(counter(reg, "dsm.invalidations"), 10u);
 }
 
 TEST_F(DsmFixture, FencedHealRejectsMinorityWritesAndResyncs)
@@ -171,8 +176,10 @@ TEST_F(DsmFixture, FencedHealRejectsMinorityWritesAndResyncs)
     // re-synced the divergent page from the majority side.
     EXPECT_EQ(dsm.nodeEpoch(0), 2u);
     EXPECT_EQ(dsm.nodeEpoch(1), 2u);
-    EXPECT_EQ(dsm.fencedMessages(), 1u);
-    EXPECT_EQ(dsm.pagesResynced(), 1u);
+    EXPECT_EQ(counter(reg, "xfault.fenced_messages"), 1u);
+    EXPECT_EQ(counter(reg, "xfault.pages_resynced"), 1u);
+    // The deferred INVAL was first refused by the live cut.
+    EXPECT_EQ(counter(reg, "xfault.cut_rejects"), 1u);
     dsm.port(0).read(kBase, &got, 8);
     EXPECT_EQ(got, 0xAu) << "majority copy is authoritative after heal";
     dsm.port(1).read(kBase, &got, 8);
@@ -196,8 +203,9 @@ TEST_F(DsmFixture, UnfencedHealReplaysSplitBrainWrite)
     dsm.port(1).write(kBase, &c, 8); // INVAL deferred across the cut
     dsm.healPartition();
 
-    EXPECT_EQ(dsm.fencedMessages(), 0u) << "fence off: nothing rejected";
-    EXPECT_EQ(dsm.pagesResynced(), 0u) << "fence off: no re-sync";
+    // Fence off: nothing rejected, no re-sync.
+    EXPECT_EQ(counter(reg, "xfault.fenced_messages"), 0u);
+    EXPECT_EQ(counter(reg, "xfault.pages_resynced"), 0u);
     // Epochs still advance at every heal -- fencing only controls
     // whether the receiver ENFORCES them by rejecting stale messages.
     EXPECT_EQ(dsm.nodeEpoch(0), 2u);
@@ -207,36 +215,20 @@ TEST_F(DsmFixture, UnfencedHealReplaysSplitBrainWrite)
         << "split-brain: the minority's pre-heal write won";
 }
 
-TEST_F(DsmFixture, PartitionFencingCountersReachTheRegistry)
-{
-    obs::StatRegistry reg;
-    dsm.registerStats(reg);
-    uint64_t a = 0xA;
-    dsm.populate(0, kBase, &a, 8);
-    uint64_t got = 0;
-    dsm.port(1).read(kBase, &got, 8);
-    dsm.beginPartition({1});
-    uint64_t c = 0xC;
-    dsm.port(1).write(kBase, &c, 8);
-    dsm.healPartition();
-    EXPECT_EQ(reg.counterValue("xfault.fenced_messages"), 1u);
-    EXPECT_EQ(reg.counterValue("xfault.pages_resynced"), 1u);
-    // The deferred INVAL was first refused by the live cut.
-    EXPECT_EQ(reg.counterValue("xfault.cut_rejects"), 1u);
-}
-
 TEST(Interconnect, CostModelIsLatencyPlusBandwidth)
 {
     Interconnect::Config cfg;
     cfg.latencyUs = 2.0;
     cfg.gbitPerSec = 8.0; // 1 GB/s
     Interconnect net(cfg);
+    obs::StatRegistry reg;
+    net.registerStats(reg, "net");
     EXPECT_NEAR(net.transferSeconds(0), 2e-6, 1e-12);
     EXPECT_NEAR(net.transferSeconds(1000000), 2e-6 + 1e-3, 1e-9);
     uint64_t cycles = net.charge(1000000, 1.0); // 1 GHz
     EXPECT_NEAR(static_cast<double>(cycles), (2e-6 + 1e-3) * 1e9, 2.0);
-    EXPECT_EQ(net.messages(), 1u);
-    EXPECT_EQ(net.bytes(), 1000000u);
+    EXPECT_EQ(counter(reg, "net.messages"), 1u);
+    EXPECT_EQ(counter(reg, "net.bytes"), 1000000u);
 }
 
 } // namespace

@@ -428,6 +428,16 @@ TEST(Spec, CrashMachinesMustExistInEveryPool)
                   1u);
         EXPECT_THROW(parse(kind, "plan = 0@10, 2@20\n"), ConfigError)
             << kind;
+        try {
+            parse(kind, "plan = 1@40s\n");
+            ADD_FAILURE() << kind << "1@40s accepted as 1@40";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "crash.conf:16: [crashes] plan: bad number "
+                          "'40s' in entry '1@40s'"),
+                      std::string::npos)
+                << e.what();
+        }
         EXPECT_THROW(parse(kind, "down_seconds = 0\nplan = 0@10\n"),
                      ConfigError)
             << kind;
@@ -725,11 +735,15 @@ TEST(Spec, ServingRejectsBadTraffic)
     expectFail("[traffic]\nshards = 0\n");
     expectFail("[traffic]\nplacement = 0, 1\n"); // size != shards
     expectFail("[traffic]\nplacement = 0, 0, 0, 0, 0, 0, 0, 9\n");
+    expectFail("[traffic]\nplacement = 0x, 0, 0, 0, 0, 0, 0, 0\n");
     expectFail("[traffic]\nmigrate_plan = 1@1.5->0\n"); // frac >= 1
     expectFail("[traffic]\nmigrate_plan = 99@0.5->0\n");
     expectFail("[traffic]\nmigrate_plan = nonsense\n");
+    expectFail("[traffic]\nmigrate_plan = 6@0.3sec->0\n");
+    expectFail("[traffic]\nmigrate_plan = 6@nan->0\n");
     expectFail("[crashes]\nplan = 0@40\n"); // serving wants fractions
     expectFail("[crashes]\nplan = 7@0.5\n");
+    expectFail("[crashes]\nplan = 1@\n"); // not 1@0
 }
 
 TEST(Spec, ServingVolumeCapCoversQuickDuration)
@@ -852,6 +866,7 @@ TEST(Spec, FailuresRejectBadPlans)
     expectFail("[failures]\nplan = tor:0@0.5..0.4\n");   // heal < at
     expectFail("[failures]\nplan = tor:0@0.2..1.5\n");   // heal > 1
     expectFail("[failures]\nplan = nonsense\n");
+    expectFail("[failures]\nplan = tor:0z@0.2..0.4\n"); // not rack 0
     expectFail("[failures]\nseed = 7\n");                // empty plan
     expectFail(
         "[failures]\nshed_deciles = 0\nplan = tor:0@0.1..0.2\n");

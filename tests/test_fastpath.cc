@@ -265,15 +265,7 @@ expectIdentical(const RunCapture &fast, const RunCapture &slow,
     ASSERT_EQ(fast.image.size(), slow.image.size()) << what;
     EXPECT_TRUE(fast.image == slow.image)
         << what << ": final memory images differ";
-    ASSERT_EQ(fast.stats.size(), slow.stats.size()) << what;
-    for (const auto &[name, v] : slow.stats) {
-        auto it = fast.stats.find(name);
-        ASSERT_NE(it, fast.stats.end()) << what << ": " << name;
-        // host_us histograms count real wall time per sample; the
-        // primary value (sample count) is deterministic and compared,
-        // which snapshot() already reduces to.
-        EXPECT_EQ(it->second, v) << what << ": stat " << name;
-    }
+    EXPECT_EQ(fast.stats, slow.stats) << what;
 }
 
 class WorkloadDifferential
@@ -452,9 +444,7 @@ TEST(ThreadedDeopt, PerturbedScheduleOverlayMatchesFastPath)
 struct SlicedRun {
     ThreadContext ctx;
     uint64_t coreCycles = 0;
-    uint64_t l1dAccesses = 0;
-    uint64_t l1dMisses = 0;
-    DsmStats dsm;
+    std::map<std::string, double> stats; ///< dsm, net and L1D counters
     std::map<uint64_t, std::vector<uint8_t>> image;
     int steals = 0;       ///< slices whose page was stolen before entry
     int memoAtEntry = 0;  ///< ... while the L1D memo still named the line
@@ -536,6 +526,10 @@ runStolenPageSlices()
     Interp interp(bin, kIsa, spec);
     Core core(spec);
     Cache l2(spec.l2);
+    obs::StatRegistry reg;
+    net.registerStats(reg, "net");
+    dsm.registerStats(reg);
+    core.l1d.registerStats(reg, "l1d");
 
     SlicedRun r;
     r.ctx.isa = kIsa;
@@ -556,9 +550,7 @@ runStolenPageSlices()
     }
     EXPECT_EQ(sr.reason, StopReason::Halt);
     r.coreCycles = core.cycles;
-    r.l1dAccesses = core.l1d.stats().accesses;
-    r.l1dMisses = core.l1d.stats().misses;
-    r.dsm = dsm.stats();
+    r.stats = reg.snapshot();
     r.image = dsm.pageImage();
     return r;
 }
@@ -585,12 +577,7 @@ TEST(ThreadedDeopt, PageStolenBetweenSlicesDropsHostPointers)
     EXPECT_EQ(threaded.ctx.instrs, plain.ctx.instrs);
     EXPECT_EQ(threaded.ctx.cycles, plain.ctx.cycles);
     EXPECT_EQ(threaded.coreCycles, plain.coreCycles);
-    EXPECT_EQ(threaded.l1dAccesses, plain.l1dAccesses);
-    EXPECT_EQ(threaded.l1dMisses, plain.l1dMisses);
-    EXPECT_EQ(threaded.dsm.readFaults, plain.dsm.readFaults);
-    EXPECT_EQ(threaded.dsm.writeFaults, plain.dsm.writeFaults);
-    EXPECT_EQ(threaded.dsm.invalidations, plain.dsm.invalidations);
-    EXPECT_EQ(threaded.dsm.extraCycles, plain.dsm.extraCycles);
+    EXPECT_EQ(threaded.stats, plain.stats);
     EXPECT_TRUE(threaded.image == plain.image)
         << "final memory images differ";
     EXPECT_GT(threaded.ctx.gpr[5], 0u) << "node 1's words never arrived";

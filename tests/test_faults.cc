@@ -29,6 +29,7 @@
 #include "sched/cluster.hh"
 #include "sched/jobsets.hh"
 #include "sched/profile.hh"
+#include "stat_read.hh"
 #include "testprogs.hh"
 #include "traffic/traffic.hh"
 #include "util/rng.hh"
@@ -183,6 +184,8 @@ TEST(FaultyInterconnect, PerfectLinkSendMatchesCharge)
 {
     Interconnect faultAware; // empty plan
     Interconnect legacy;
+    obs::StatRegistry reg;
+    faultAware.registerStats(reg, "net");
     auto r = faultAware.send(5000, 2.0);
     EXPECT_EQ(r.status, SendStatus::Delivered);
     EXPECT_FALSE(r.duplicate);
@@ -191,8 +194,8 @@ TEST(FaultyInterconnect, PerfectLinkSendMatchesCharge)
     auto rr = faultAware.reliableSend(5000, 2.0);
     EXPECT_EQ(rr.attempts, 1);
     EXPECT_EQ(rr.cycles, legacy.charge(5000, 2.0));
-    EXPECT_EQ(faultAware.messages(), 2u);
-    EXPECT_EQ(faultAware.bytes(), 10000u);
+    EXPECT_EQ(counter(reg, "net.messages"), 2u);
+    EXPECT_EQ(counter(reg, "net.bytes"), 10000u);
 }
 
 TEST(FaultyInterconnect, ReliableSendChargesTimeoutAndBackoff)
@@ -209,13 +212,13 @@ TEST(FaultyInterconnect, ReliableSendChargesTimeoutAndBackoff)
     double wire = 3 * net.transferSeconds(100);
     double waits = (10.0 + 5.0) * 1e-6 + (10.0 + 10.0) * 1e-6;
     EXPECT_NEAR(r.seconds, wire + waits, 1e-12);
-    EXPECT_EQ(reg.counterValue("net.messages"), 3u);
-    EXPECT_EQ(reg.counterValue("net.bytes"), 300u);
-    EXPECT_EQ(reg.counterValue("xfault.drops"), 2u);
-    EXPECT_EQ(reg.counterValue("xfault.retries"), 2u);
+    EXPECT_EQ(counter(reg, "net.messages"), 3u);
+    EXPECT_EQ(counter(reg, "net.bytes"), 300u);
+    EXPECT_EQ(counter(reg, "xfault.drops"), 2u);
+    EXPECT_EQ(counter(reg, "xfault.retries"), 2u);
     // At 1 GHz, backoff cycles are the waits in nanoseconds (same
     // truncation as the implementation's cycle conversion).
-    EXPECT_EQ(reg.counterValue("xfault.backoff_cycles"),
+    EXPECT_EQ(counter(reg, "xfault.backoff_cycles"),
               static_cast<uint64_t>(15.0 * 1e-6 * 1e9) +
                   static_cast<uint64_t>(20.0 * 1e-6 * 1e9));
 }
@@ -241,12 +244,12 @@ TEST(FaultyDsm, ScriptedDropsPinRetryAccounting)
     EXPECT_EQ(got, 0xabcdefu);
     EXPECT_GT(cyc, 0u);
     // One page fault, three wire attempts (two lost), one page moved.
-    EXPECT_EQ(reg.counterValue("net.messages"), 3u);
-    EXPECT_EQ(reg.counterValue("net.bytes"), 3 * kPageMsg);
-    EXPECT_EQ(reg.counterValue("xfault.drops"), 2u);
-    EXPECT_EQ(reg.counterValue("xfault.retries"), 2u);
-    EXPECT_EQ(reg.counterValue("dsm.page_transfers"), 1u);
-    EXPECT_EQ(reg.counterValue("dsm.bytes_transferred"), vm::kPageSize);
+    EXPECT_EQ(counter(reg, "net.messages"), 3u);
+    EXPECT_EQ(counter(reg, "net.bytes"), 3 * kPageMsg);
+    EXPECT_EQ(counter(reg, "xfault.drops"), 2u);
+    EXPECT_EQ(counter(reg, "xfault.retries"), 2u);
+    EXPECT_EQ(counter(reg, "dsm.page_transfers"), 1u);
+    EXPECT_EQ(counter(reg, "dsm.bytes_transferred"), vm::kPageSize);
     EXPECT_EQ(dsm.state(0, kBase / vm::kPageSize), PageState::Shared);
     EXPECT_EQ(dsm.state(1, kBase / vm::kPageSize), PageState::Shared);
     dsm.checkInvariants();
@@ -258,6 +261,8 @@ TEST(FaultyDsm, RemoteAccessExtraCyclesNoDoubleCharge)
 {
     Interconnect net;
     DsmSpace dsm(2, &net, {3.5, 2.4}, DsmMode::RemoteAccess);
+    obs::StatRegistry reg;
+    dsm.registerStats(reg);
     // Node 0 claims both pages as home.
     uint64_t v[2] = {0x1111, 0x2222};
     uint64_t straddle = kBase + vm::kPageSize - 4;
@@ -267,7 +272,7 @@ TEST(FaultyDsm, RemoteAccessExtraCyclesNoDoubleCharge)
     dsm.port(1).read(straddle, &got, 8);
     Interconnect ref;
     uint64_t expected = ref.charge(64 + 4, 2.4) + ref.charge(64 + 4, 2.4);
-    EXPECT_EQ(dsm.stats().extraCycles, expected);
+    EXPECT_EQ(counter(reg, "dsm.extra_cycles"), expected);
 }
 
 struct StormCase : ::testing::TestWithParam<int> {};
@@ -303,8 +308,8 @@ TEST_P(StormCase, DsmConvergesUnderDropStorm)
             dsm.checkInvariants();
     }
     dsm.checkInvariants();
-    EXPECT_GT(reg.counterValue("xfault.drops"), 0u);
-    EXPECT_GT(reg.counterValue("xfault.retries"), 0u);
+    EXPECT_GT(counter(reg, "xfault.drops"), 0u);
+    EXPECT_GT(counter(reg, "xfault.retries"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StormCase, ::testing::Range(0, 6));
@@ -318,6 +323,7 @@ TEST(FaultyDsm, DuplicateDeliveryIsIdempotent)
     obs::StatRegistry reg;
     net.registerStats(reg, "net");
     DsmSpace dsm(2, &net, {3.5, 2.4});
+    dsm.registerStats(reg);
     std::map<uint64_t, uint64_t> shadow;
     Rng rng(0xd0b);
     for (int op = 0; op < 2000; ++op) {
@@ -336,11 +342,11 @@ TEST(FaultyDsm, DuplicateDeliveryIsIdempotent)
         }
     }
     dsm.checkInvariants();
-    EXPECT_GT(reg.counterValue("xfault.duplicates"), 0u);
+    EXPECT_GT(counter(reg, "xfault.duplicates"), 0u);
     // Retransmissions are real wire traffic: strictly more bytes than
     // pages moved.
-    EXPECT_GT(reg.counterValue("net.bytes"),
-              reg.counterValue("dsm.bytes_transferred"));
+    EXPECT_GT(counter(reg, "net.bytes"),
+              counter(reg, "dsm.bytes_transferred"));
 }
 
 TEST(FaultyDsm, SurvivesPartitionWindows)
@@ -371,8 +377,8 @@ TEST(FaultyDsm, SurvivesPartitionWindows)
     }
     dsm.checkInvariants();
     // Partition rejects cost latency but never count as wire traffic.
-    EXPECT_GT(reg.counterValue("xfault.partition_rejects"), 0u);
-    EXPECT_EQ(reg.counterValue("xfault.drops"), 0u);
+    EXPECT_GT(counter(reg, "xfault.partition_rejects"), 0u);
+    EXPECT_EQ(counter(reg, "xfault.drops"), 0u);
 }
 
 // --- Migration under faults ------------------------------------------
@@ -399,7 +405,7 @@ TEST(FaultyMigration, UnderMessageLossMatchesReference)
     EXPECT_EQ(got.output, ref.output);
     EXPECT_EQ(got.exitCode, ref.retVal);
     EXPECT_GE(os.migrations().size(), 2u);
-    EXPECT_GT(os.statRegistry().counterValue("xfault.drops"), 0u);
+    EXPECT_GT(counter(os.statRegistry(), "xfault.drops"), 0u);
     os.dsm().checkInvariants();
 }
 
@@ -423,10 +429,10 @@ TEST(FaultyMigration, AbortLeavesThreadRunnableOnSource)
     EXPECT_EQ(got.exitCode, ref.retVal);
     EXPECT_TRUE(os.migrations().empty());
     EXPECT_EQ(os.threadNode(0), 0);
-    EXPECT_EQ(os.statRegistry().counterValue("xfault.migration_aborts"),
+    EXPECT_EQ(counter(os.statRegistry(), "xfault.migration_aborts"),
               1u);
     EXPECT_EQ(
-        os.statRegistry().counterValue("xfault.migration_retries"), 3u);
+        counter(os.statRegistry(), "xfault.migration_retries"), 3u);
 }
 
 // --- Scheduler crash recovery ----------------------------------------
@@ -548,7 +554,7 @@ TEST(FaultyRecovery, CheckpointRestoreRecoversUnderFaultyLink)
     resumed.dsm().checkInvariants();
 }
 
-// --- Circuit breaker (reliableSendTo) --------------------------------
+// --- Circuit breaker (peer-aware reliableSend) ----------------------
 
 TEST(CircuitBreaker, OpensAtThresholdAndFailsFast)
 {
@@ -560,22 +566,22 @@ TEST(CircuitBreaker, OpensAtThresholdAndFailsFast)
     obs::StatRegistry reg;
     net.registerStats(reg, "net");
 
-    Interconnect::ReliableResult first = net.reliableSendTo(1, 256, 1.0);
+    Interconnect::ReliableResult first = net.reliableSend(256, 1.0, 1);
     EXPECT_FALSE(first.delivered);
     // Opened exactly at the threshold instead of burning the full
     // 64-attempt retry budget (and its panic).
     EXPECT_EQ(first.attempts, 3);
     EXPECT_TRUE(net.circuitOpen(1));
-    EXPECT_EQ(reg.counterValue("xfault.circuit_open"), 1u);
+    EXPECT_EQ(counter(reg, "xfault.circuit_open"), 1u);
 
-    uint64_t failFast0 = reg.counterValue("xfault.circuit_fail_fast");
+    uint64_t failFast0 = counter(reg, "xfault.circuit_fail_fast");
     for (int i = 0; i < 40; ++i)
-        EXPECT_FALSE(net.reliableSendTo(1, 256, 1.0).delivered);
+        EXPECT_FALSE(net.reliableSend(256, 1.0, 1).delivered);
     // Most calls failed fast at latency-only cost; seeded half-open
     // probes kept re-testing the link without re-counting an open.
-    EXPECT_GT(reg.counterValue("xfault.circuit_fail_fast"), failFast0);
-    EXPECT_GT(reg.counterValue("xfault.circuit_probes"), 4u);
-    EXPECT_EQ(reg.counterValue("xfault.circuit_open"), 1u);
+    EXPECT_GT(counter(reg, "xfault.circuit_fail_fast"), failFast0);
+    EXPECT_GT(counter(reg, "xfault.circuit_probes"), 4u);
+    EXPECT_EQ(counter(reg, "xfault.circuit_open"), 1u);
     // Other peers are unaffected: each breaker is per-peer.
     EXPECT_FALSE(net.circuitOpen(2));
 }
@@ -590,7 +596,7 @@ TEST(CircuitBreaker, DeliveredProbeClosesTheCircuit)
 
     bool sawOpen = false, sawClose = false;
     for (int i = 0; i < 400 && !(sawOpen && sawClose); ++i) {
-        net.reliableSendTo(1, 64, 1.0);
+        net.reliableSend(64, 1.0, 1);
         if (net.circuitOpen(1))
             sawOpen = true;
         else if (sawOpen)
@@ -602,20 +608,30 @@ TEST(CircuitBreaker, DeliveredProbeClosesTheCircuit)
 
 TEST(CircuitBreaker, DisabledPolicyIsByteIdenticalToLegacyPath)
 {
+    // Unarmed, the retry loop must repeat the former peer-less
+    // reliableSend() exactly, whether or not the call names a peer. The
+    // pins were recorded from it: an FNV-1a fold of every message's
+    // (attempts, seconds bits, cycles, duplicate), and the counters.
     Interconnect::Config cfg;
     cfg.faults.seed = 0x1dea;
     cfg.faults.dropProb = 0.3;
-    Interconnect a(cfg), b(cfg);
-    for (int i = 0; i < 200; ++i) {
-        Interconnect::ReliableResult ra = a.reliableSend(512, 2.0);
-        Interconnect::ReliableResult rb = b.reliableSendTo(1, 512, 2.0);
-        ASSERT_EQ(ra.attempts, rb.attempts) << "msg " << i;
-        ASSERT_DOUBLE_EQ(ra.seconds, rb.seconds) << "msg " << i;
-        ASSERT_EQ(ra.cycles, rb.cycles) << "msg " << i;
-        ASSERT_EQ(ra.duplicate, rb.duplicate) << "msg " << i;
+    for (int peer : {-1, 1}) {
+        Interconnect net(cfg);
+        obs::StatRegistry reg;
+        net.registerStats(reg, "net");
+        uint64_t fold = 0xcbf29ce484222325ull;
+        for (int i = 0; i < 200; ++i) {
+            auto r = net.reliableSend(512, 2.0, peer);
+            uint64_t secs;
+            std::memcpy(&secs, &r.seconds, sizeof secs);
+            for (uint64_t v : {static_cast<uint64_t>(r.attempts), secs,
+                               r.cycles, uint64_t{r.duplicate}})
+                fold = (fold ^ v) * 0x100000001b3ull;
+        }
+        EXPECT_EQ(fold, 0xebf5a1c49ee04d92ull) << "peer " << peer;
+        EXPECT_EQ(counter(reg, "net.messages"), 277u) << "peer " << peer;
+        EXPECT_EQ(counter(reg, "net.bytes"), 141824u) << "peer " << peer;
     }
-    EXPECT_EQ(a.messages(), b.messages());
-    EXPECT_EQ(a.bytes(), b.bytes());
 }
 
 // --- hDSM node-failure recovery (DESIGN.md section 9) ----------------
@@ -662,10 +678,10 @@ TEST(CrashRecovery, NodeCrashIsByteIdenticalToCrashFreeRun)
     EXPECT_EQ(got.output, ref.output);
     EXPECT_EQ(got.exitCode, ref.exitCode);
     obs::StatRegistry &reg = os.statRegistry();
-    EXPECT_EQ(reg.counterValue("xfault.deaths"), 1u);
+    EXPECT_EQ(counter(reg, "xfault.deaths"), 1u);
     // The dead kernel held real state: something had to be recovered.
-    EXPECT_GE(reg.counterValue("xfault.threads_recovered") +
-                  reg.counterValue("xfault.pages_recovered"),
+    EXPECT_GE(counter(reg, "xfault.threads_recovered") +
+                  counter(reg, "xfault.pages_recovered"),
               1u);
     // Degraded mode: every thread finished on the survivor.
     for (int tid = 0; tid < os.numThreads(); ++tid)
@@ -696,9 +712,9 @@ TEST(CrashRecovery, SourceCrashBeforeShipRecoversThreadExactlyOnce)
     EXPECT_TRUE(os.migrations().empty());
     ASSERT_EQ(os.migrationLedger().size(), 1u);
     EXPECT_FALSE(os.migrationLedger()[0].applied);
-    EXPECT_EQ(os.statRegistry().counterValue("xfault.deaths"), 1u);
+    EXPECT_EQ(counter(os.statRegistry(), "xfault.deaths"), 1u);
     EXPECT_EQ(
-        os.statRegistry().counterValue("xfault.threads_recovered"), 1u);
+        counter(os.statRegistry(), "xfault.threads_recovered"), 1u);
 }
 
 TEST(CrashRecovery, SourceCrashAfterDeliveryLeavesThreadOnDestOnly)
@@ -724,9 +740,9 @@ TEST(CrashRecovery, SourceCrashAfterDeliveryLeavesThreadOnDestOnly)
     EXPECT_EQ(os.migrations().size(), 1u);
     ASSERT_EQ(os.migrationLedger().size(), 1u);
     EXPECT_TRUE(os.migrationLedger()[0].applied);
-    EXPECT_EQ(os.statRegistry().counterValue("xfault.deaths"), 1u);
+    EXPECT_EQ(counter(os.statRegistry(), "xfault.deaths"), 1u);
     EXPECT_EQ(
-        os.statRegistry().counterValue("xfault.threads_recovered"), 0u);
+        counter(os.statRegistry(), "xfault.threads_recovered"), 0u);
 }
 
 TEST(CrashRecovery, DestinationCrashMidHandoffKeepsThreadOnSource)
@@ -753,8 +769,8 @@ TEST(CrashRecovery, DestinationCrashMidHandoffKeepsThreadOnSource)
     ASSERT_EQ(os.migrationLedger().size(), 1u);
     EXPECT_FALSE(os.migrationLedger()[0].applied);
     EXPECT_EQ(
-        os.statRegistry().counterValue("xfault.migration_aborts"), 1u);
-    EXPECT_EQ(os.statRegistry().counterValue("xfault.deaths"), 1u);
+        counter(os.statRegistry(), "xfault.migration_aborts"), 1u);
+    EXPECT_EQ(counter(os.statRegistry(), "xfault.deaths"), 1u);
 }
 
 TEST(CrashRecovery, PerturbedDeferredHandoffCrashKeepsThreadSingular)
@@ -987,8 +1003,8 @@ TEST(ServingChaos, TorOutageFailsOverOutsideRackAndSheds)
     // requests accounted separately from served ones.
     EXPECT_EQ(r.shed + r.gets + r.sets, r.requests);
     EXPECT_GT(r.shed, 0u);
-    EXPECT_EQ(reg.counterValue("torchaos.shed"), r.shed);
-    EXPECT_EQ(reg.counterValue("torchaos.slo_violations_degraded"),
+    EXPECT_EQ(counter(reg, "torchaos.shed"), r.shed);
+    EXPECT_EQ(counter(reg, "torchaos.slo_violations_degraded"),
               r.violationsDegraded);
 
     // Degraded-window violations are a subset of the total.

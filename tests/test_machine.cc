@@ -14,6 +14,7 @@
 #include "machine/interp.hh"
 #include "machine/mem.hh"
 #include "machine/node.hh"
+#include "stat_read.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -23,13 +24,14 @@ namespace {
 TEST(Cache, ColdMissThenHit)
 {
     Cache c({1024, 2, 64, 10});
+    obs::StatRegistry reg;
+    c.registerStats(reg, "c");
     EXPECT_EQ(c.access(0x1000), 10u);
     EXPECT_EQ(c.access(0x1000), 0u);
     EXPECT_EQ(c.access(0x1004), 0u); // same line
     EXPECT_EQ(c.access(0x1040), 10u); // next line
-    EXPECT_EQ(c.stats().accesses, 4u);
-    EXPECT_EQ(c.stats().misses, 2u);
-    EXPECT_DOUBLE_EQ(c.stats().missRatio(), 0.5);
+    EXPECT_EQ(counter(reg, "c.accesses"), 4u);
+    EXPECT_EQ(counter(reg, "c.misses"), 2u);
 }
 
 TEST(Cache, LruEvictsLeastRecentlyUsed)
@@ -126,6 +128,8 @@ void
 runCacheDifferential(const CacheConfig &cfg, uint64_t seed)
 {
     Cache c(cfg);
+    obs::StatRegistry reg;
+    c.registerStats(reg, "c");
     LruReference ref(cfg);
     Rng rng(seed);
     const uint32_t sets = cfg.sizeBytes / (cfg.lineBytes * cfg.assoc);
@@ -219,8 +223,8 @@ runCacheDifferential(const CacheConfig &cfg, uint64_t seed)
             ref.flush();
             bulkOk = false;
         }
-        ASSERT_EQ(c.stats().accesses, ref.accesses);
-        ASSERT_EQ(c.stats().misses, ref.misses);
+        ASSERT_EQ(counter(reg, "c.accesses"), ref.accesses);
+        ASSERT_EQ(counter(reg, "c.misses"), ref.misses);
     }
     if (cfg.lineBytes == Cache::kHostLineBytes) {
         EXPECT_GT(hostHits, 200u) << "the host path never engaged";
@@ -243,6 +247,8 @@ TEST(CacheDifferential, MemoMatchesBruteForceLru)
 TEST(CacheDifferential, HostPathRefusesMisalignedAndUnfilledAccesses)
 {
     Cache c({1024, 2, 64, 10});
+    obs::StatRegistry reg;
+    c.registerStats(reg, "c");
     std::vector<uint8_t> guest(256, 0xab);
     uint64_t v = 0;
     EXPECT_FALSE(c.hostLoad<8>(0x40, &v)) << "nothing filled yet";
@@ -256,7 +262,7 @@ TEST(CacheDifferential, HostPathRefusesMisalignedAndUnfilledAccesses)
     EXPECT_FALSE(c.hostStore<8>(0x48, &v)) << "only a read was granted";
     c.dropHostLines();
     EXPECT_FALSE(c.hostLoad<8>(0x48, &v));
-    EXPECT_EQ(c.stats().accesses, 4u);
+    EXPECT_EQ(counter(reg, "c.accesses"), 4u);
 }
 
 TEST(NodeSpec, PresetsMatchTheTestbedShape)

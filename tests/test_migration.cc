@@ -10,6 +10,7 @@
 
 #include "compiler/compile.hh"
 #include "core/stacktransform.hh"
+#include "stat_read.hh"
 #include "testprogs.hh"
 #include "util/logging.hh"
 
@@ -192,9 +193,8 @@ TEST(Migration, DsmMovesPagesOnDemandAfterMigration)
     Module mod = makeTlsHeapProgram();
     ReplicatedOS *os = nullptr;
     runWithOneMigration(mod, 0, 1, 2, &os);
-    const DsmStats &stats = os->dsm().stats();
-    EXPECT_GT(stats.pagesTransferred, 0u);
-    EXPECT_GT(stats.bytesTransferred, 0u);
+    EXPECT_GT(counter(os->statRegistry(), "dsm.page_transfers"), 0u);
+    EXPECT_GT(counter(os->statRegistry(), "dsm.bytes_transferred"), 0u);
     os->dsm().checkInvariants();
 }
 
