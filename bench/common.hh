@@ -3,7 +3,7 @@
  * Shared helpers for the experiment harnesses. Each bench binary
  * regenerates one table or figure of the paper that no conf `kind`
  * expresses; the paper figures that a conf does express (Figs. 6-9,
- * Fig. 12, the rack projection, serving) run through xisa_exp alone.
+ * Figs. 12-13, the rack projection, serving) run through xisa_exp alone.
  * The run plumbing (quick mode, banner) and the flag grammar live in
  * src/exp/ and are shared with that runner.
  *

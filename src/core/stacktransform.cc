@@ -38,7 +38,6 @@ StackTransformer::registerStats(obs::StatRegistry &reg,
     reg.attach(prefix + ".live_values", liveValues_);
     reg.attach(prefix + ".pointers_fixed", pointersFixed_);
     reg.attach(prefix + ".bytes_copied", bytesCopied_);
-    reg.attach(prefix + ".host_us", hostUs_);
 }
 
 uint64_t
@@ -324,7 +323,6 @@ StackTransformer::transform(const ThreadContext &src, uint32_t siteId,
         liveValues_.add(work.liveValues);
         pointersFixed_.add(work.pointersFixed);
         bytesCopied_.add(work.bytesCopied);
-        hostUs_.add(work.hostSeconds * 1e6);
     }
 
     if (stats)

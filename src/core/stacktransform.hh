@@ -87,8 +87,10 @@ class StackTransformer
 
     /**
      * Attach cumulative work counters (`<prefix>.transforms`, `.frames`,
-     * `.live_values`, `.pointers_fixed`, `.bytes_copied`) plus a
-     * `<prefix>.host_us` histogram of real transformation wall-clock.
+     * `.live_values`, `.pointers_fixed`, `.bytes_copied`). Host
+     * wall-clock stays out of the registry, so a dump is a function of
+     * the simulated run alone; it is per transform in
+     * TransformStats::hostSeconds.
      */
     void registerStats(obs::StatRegistry &reg, const std::string &prefix);
 
@@ -148,7 +150,6 @@ class StackTransformer
     obs::Counter liveValues_;
     obs::Counter pointersFixed_;
     obs::Counter bytesCopied_;
-    obs::Histogram hostUs_; ///< real wall-clock per transform, in us
 };
 
 } // namespace xisa

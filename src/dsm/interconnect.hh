@@ -151,8 +151,6 @@ class Interconnect
     /** True while `peer`'s circuit is open (fail-fast mode). */
     bool circuitOpen(int peer) const;
 
-    /** True if this link can inject faults at all. */
-    bool faulty() const { return !plan_.empty(); }
     FaultPlan &faultPlan() { return plan_; }
     const RetryPolicy &retryPolicy() const { return cfg_.retry; }
 

@@ -27,11 +27,25 @@ wallNow()
         .count();
 }
 
-void
-writeJsonHeader(std::FILE *f, const char *bench, bool quick,
-                int requestedThreads, size_t configs,
-                double wallSeconds)
+/**
+ * Write one --json / --sweep-json file: the shared header, whatever
+ * `body` adds (it opens the file's one array), and the closing of that
+ * array. An empty path writes nothing. Returns 1 when the file cannot
+ * be opened; otherwise names it on stderr as "<what> json: <path>".
+ */
+template <typename Body>
+int
+writeJsonFile(const std::string &path, const char *what,
+              const ExperimentSpec &spec, size_t configs,
+              double wallSeconds, Body &&body)
 {
+    if (path.empty())
+        return 0;
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return 1;
+    }
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"%s\",\n"
@@ -39,8 +53,13 @@ writeJsonHeader(std::FILE *f, const char *bench, bool quick,
                  "  \"sweep_threads\": %d,\n"
                  "  \"configs\": %zu,\n"
                  "  \"wall_seconds\": %.6f,\n",
-                 bench, quick ? "quick" : "full", requestedThreads,
-                 configs, wallSeconds);
+                 spec.benchName.c_str(), quickMode() ? "quick" : "full",
+                 sweepThreads(), configs, wallSeconds);
+    body(f);
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    std::fprintf(stderr, "%s json: %s\n", what, path.c_str());
+    return 0;
 }
 
 // --- kind = overhead (the fig06 report) -----------------------------
@@ -173,15 +192,7 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
     for (const CellResult &r : results)
         simInstrs += r.instrs;
 
-    if (!opts.perfJsonPath.empty()) {
-        std::FILE *f = std::fopen(opts.perfJsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.perfJsonPath.c_str());
-            return 1;
-        }
-        writeJsonHeader(f, spec.benchName.c_str(), quick,
-                        sweepThreads(), cells.size(), wallSeconds);
+    auto writeRows = [&](std::FILE *f) {
         std::fprintf(f,
                      "  \"simulated_instrs\": %llu,\n"
                      "  \"mips\": %.2f,\n"
@@ -204,25 +215,12 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
                 static_cast<unsigned long long>(r.instrs),
                 k + 1 < cells.size() ? "," : "");
         }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::fprintf(stderr, "perf json: %s\n",
-                     opts.perfJsonPath.c_str());
-    }
-
-    if (!opts.sweepJsonPath.empty()) {
-        std::FILE *f = std::fopen(opts.sweepJsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.sweepJsonPath.c_str());
-            return 1;
-        }
-        writeJsonHeader(f, spec.benchName.c_str(), quick,
-                        sweepThreads(), cells.size(), wallSeconds);
+    };
+    // Per-cell engine throughput: the cell's simulated instructions
+    // (base and instrumented runs) over its host time, comparable at
+    // any worker count.
+    auto writeCells = [&](std::FILE *f) {
         std::fprintf(f, "  \"cells\": [\n");
-        // Per-cell engine throughput: the cell's simulated
-        // instructions (base and instrumented runs) over its host time,
-        // comparable at any worker count.
         for (size_t k = 0; k < cells.size(); ++k) {
             const Cell &c = cells[k];
             const CellResult &r = results[k];
@@ -239,11 +237,12 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
                 r.instrs / r.hostSeconds / 1e6,
                 k + 1 < cells.size() ? "," : "");
         }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::fprintf(stderr, "sweep json: %s\n",
-                     opts.sweepJsonPath.c_str());
-    }
+    };
+    if (writeJsonFile(opts.perfJsonPath, "perf", spec, cells.size(),
+                      wallSeconds, writeRows) ||
+        writeJsonFile(opts.sweepJsonPath, "sweep", spec, cells.size(),
+                      wallSeconds, writeCells))
+        return 1;
 
     // Per-cell registries die with their cell; only the tracer
     // survives to the output stage.
@@ -252,21 +251,33 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
     return 0;
 }
 
-// --- kind = sustained (the fig12 report) ----------------------------
+// --- kind = sustained / rack (the Figs. 12-13 scheduling study) -----
 
-int
-runSustained(const ExperimentSpec &spec, const Options &opts)
+/** One (pool, set) trial of the fleet study. */
+struct FleetCell {
+    ClusterResult result;
+    uint64_t events = 0;
+    std::unique_ptr<ClusterSim> sim; ///< the last cell's, for --stats-json
+};
+
+/** Every cell of one fleet run, pool-major. */
+struct FleetRun {
+    std::vector<FleetCell> cells;
+    size_t sets = 0;
+    double wallSeconds = 0;
+
+    const FleetCell &
+    at(size_t pool, size_t set) const
+    {
+        return cells[pool * sets + set];
+    }
+};
+
+/** Fig. 12 layout: one row per set, one column per pool. */
+void
+printSustained(const ExperimentSpec &spec, const FleetRun &run)
 {
-    banner(spec.figure.c_str(), spec.title.c_str());
-    JobProfileTable table = JobProfileTable::calibrate();
     const ClusterSpec &cl = spec.cluster;
-
-    std::vector<std::unique_ptr<ClusterSim>> sims;
-    for (const PoolSpec &p : cl.pools)
-        sims.push_back(std::make_unique<ClusterSim>(
-            cl.makePool(p), table, cl.simConfig()));
-
-    const int numSets = spec.activeSets(quickMode());
     std::printf("\n%-6s", "set");
     for (const PoolSpec &p : cl.pools)
         std::printf(" | %*s", p.baseline ? 21 : 25, p.column.c_str());
@@ -278,33 +289,29 @@ runSustained(const ExperimentSpec &spec, const Options &opts)
 
     std::vector<RunningStat> dEnergy(cl.pools.size());
     std::vector<RunningStat> mkspRatio(cl.pools.size());
-    for (int set = 0; set < numSets; ++set) {
-        auto jobs = makeSustainedSet(
-            spec.seedBase + static_cast<uint64_t>(set),
-            spec.jobsPerSet);
-        std::vector<ClusterResult> results;
-        for (size_t p = 0; p < cl.pools.size(); ++p)
-            results.push_back(
-                sims[p]->run(jobs, cl.pools[p].policy));
-        const ClusterResult &base = results[0];
-        std::printf("set-%-2d", set);
-        for (const ClusterResult &r : results)
+    for (size_t set = 0; set < run.sets; ++set) {
+        const ClusterResult &base = run.at(0, set).result;
+        std::printf("set-%-2zu", set);
+        for (size_t p = 0; p < cl.pools.size(); ++p) {
+            const ClusterResult &r = run.at(p, set).result;
             std::printf(" | %9.1f (%4.1f/%4.1f)", r.totalEnergy / 1e3,
                         r.energyJoules[0] / 1e3,
                         r.energyJoules[1] / 1e3);
+        }
         std::printf(" |");
-        for (size_t p = 0; p < results.size(); ++p)
+        for (size_t p = 0; p < cl.pools.size(); ++p)
             if (!cl.pools[p].baseline)
                 std::printf(" %6.2fx",
-                            results[p].makespan / base.makespan);
+                            run.at(p, set).result.makespan /
+                                base.makespan);
         std::printf("\n");
-        for (size_t p = 0; p < results.size(); ++p) {
+        for (size_t p = 0; p < cl.pools.size(); ++p) {
             if (cl.pools[p].baseline)
                 continue;
-            dEnergy[p].add((1.0 - results[p].totalEnergy /
-                                      base.totalEnergy) *
+            const ClusterResult &r = run.at(p, set).result;
+            dEnergy[p].add((1.0 - r.totalEnergy / base.totalEnergy) *
                            100);
-            mkspRatio[p].add(results[p].makespan / base.makespan);
+            mkspRatio[p].add(r.makespan / base.makespan);
         }
     }
 
@@ -333,22 +340,14 @@ runSustained(const ExperimentSpec &spec, const Options &opts)
     std::printf("\n");
     if (!spec.footer.empty())
         std::printf("%s\n", spec.footer.c_str());
-
-    writeOutputs(opts, sims.back()->statRegistry());
-    return 0;
 }
 
-// --- kind = rack (the rack-scale report) ----------------------------
-
+/** Rack layout: one row per pool, means over the sets. */
 int
-runRack(const ExperimentSpec &spec, const Options &opts)
+printRack(const ExperimentSpec &spec, const Options &opts,
+          const FleetRun &run)
 {
-    banner(spec.figure.c_str(), spec.title.c_str());
-    JobProfileTable table = JobProfileTable::calibrate();
-    const bool quick = quickMode();
     const ClusterSpec &cl = spec.cluster;
-    const size_t sets = static_cast<size_t>(spec.activeSets(quick));
-
     std::printf("\n%-22s %14s %14s %10s %10s %8s\n", "rack mix",
                 "energy(kJ)", "makespan(s)", "dE", "dEDP", "migr");
     struct PoolRow {
@@ -361,36 +360,12 @@ runRack(const ExperimentSpec &spec, const Options &opts)
     uint64_t schedEvents = 0;
     double baseEnergy = 0, baseEdp = 0;
 
-    // One cell per (pool, set), pool-major. Each cell owns its jobs and
-    // ClusterSim; only the last keeps its sim, for --stats-json.
-    struct RackCell {
-        ClusterResult result;
-        uint64_t events = 0;
-        std::unique_ptr<ClusterSim> sim;
-    };
-    const size_t numCells = cl.pools.size() * sets;
-    const double t0 = wallNow();
-    std::vector<RackCell> cells = runSweep(numCells, [&](size_t i) {
-        const PoolSpec &pool = cl.pools[i / sets];
-        auto jobs = makePeriodicSet(
-            spec.seedBase + static_cast<uint64_t>(i % sets), spec.waves,
-            spec.jobsPerWavePerMachine * spec.poolMachines);
-        auto sim = std::make_unique<ClusterSim>(cl.makePool(pool), table,
-                                                cl.simConfig());
-        RackCell cell;
-        cell.result = sim->run(jobs, pool.policy);
-        cell.events = sim->eventsProcessed();
-        if (i + 1 == numCells)
-            cell.sim = std::move(sim);
-        return cell;
-    });
-
     // Ordered merge: the same adds in the same order as a serial loop.
     for (size_t p = 0; p < cl.pools.size(); ++p) {
         const PoolSpec &pool = cl.pools[p];
         RunningStat energy, makespan, edp, migr;
-        for (size_t set = 0; set < sets; ++set) {
-            const RackCell &cell = cells[p * sets + set];
+        for (size_t set = 0; set < run.sets; ++set) {
+            const FleetCell &cell = run.at(p, set);
             energy.add(cell.result.totalEnergy);
             makespan.add(cell.result.makespan);
             edp.add(cell.result.edp);
@@ -412,7 +387,6 @@ runRack(const ExperimentSpec &spec, const Options &opts)
         poolRows.push_back({&pool, energy.mean() / 1e3,
                             makespan.mean(), migr.mean()});
     }
-    const double wallSeconds = wallNow() - t0;
     if (!spec.footer.empty())
         std::printf("\n%s\n", spec.footer.c_str());
 
@@ -420,37 +394,75 @@ runRack(const ExperimentSpec &spec, const Options &opts)
     // tools/check_perf.py applies via --min-events-per-sec -- instead
     // of interpreter MIPS: rack runs exercise ClusterSim, not the
     // instruction-level machine.
-    if (!opts.perfJsonPath.empty()) {
-        std::FILE *f = std::fopen(opts.perfJsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.perfJsonPath.c_str());
-            return 1;
-        }
-        writeJsonHeader(f, spec.benchName.c_str(), quick,
-                        sweepThreads(), numCells, wallSeconds);
-        std::fprintf(f,
-                     "  \"sched_events\": %llu,\n"
-                     "  \"events_per_sec\": %.2f,\n"
-                     "  \"rows\": [\n",
-                     static_cast<unsigned long long>(schedEvents),
-                     wallSeconds > 0 ? schedEvents / wallSeconds : 0.0);
-        for (size_t k = 0; k < poolRows.size(); ++k) {
-            const PoolRow &row = poolRows[k];
-            std::fprintf(
-                f,
-                "    {\"pool\": \"%s\", \"energy_kj\": %.6f, "
-                "\"makespan_seconds\": %.6f, \"migrations\": %.1f}%s\n",
-                row.pool->label.c_str(), row.energyKj, row.makespan,
-                row.migrations, k + 1 < poolRows.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::fprintf(stderr, "perf json: %s\n",
-                     opts.perfJsonPath.c_str());
-    }
+    const double wall = run.wallSeconds;
+    return writeJsonFile(
+        opts.perfJsonPath, "perf", spec, run.cells.size(), wall,
+        [&](std::FILE *f) {
+            std::fprintf(f,
+                         "  \"sched_events\": %llu,\n"
+                         "  \"events_per_sec\": %.2f,\n"
+                         "  \"rows\": [\n",
+                         static_cast<unsigned long long>(schedEvents),
+                         wall > 0 ? schedEvents / wall : 0.0);
+            for (size_t k = 0; k < poolRows.size(); ++k) {
+                const PoolRow &row = poolRows[k];
+                std::fprintf(
+                    f,
+                    "    {\"pool\": \"%s\", \"energy_kj\": %.6f, "
+                    "\"makespan_seconds\": %.6f, \"migrations\": "
+                    "%.1f}%s\n",
+                    row.pool->label.c_str(), row.energyKj, row.makespan,
+                    row.migrations, k + 1 < poolRows.size() ? "," : "");
+            }
+        });
+}
 
-    writeOutputs(opts, cells.back().sim->statRegistry());
+/**
+ * kind = sustained and kind = rack: one calibration, then one sweep
+ * over (pool, set) cells. Every cell is an independent trial with its
+ * own jobs and a fresh ClusterSim, so a set never inherits link
+ * fault-plan state from the sets run before it. Only the job generator
+ * and the printer differ per kind.
+ */
+int
+runFleet(const ExperimentSpec &spec, const Options &opts)
+{
+    banner(spec.figure.c_str(), spec.title.c_str());
+    JobProfileTable table = JobProfileTable::calibrate();
+    const ClusterSpec &cl = spec.cluster;
+    const bool periodic = spec.kind == ExperimentKind::Rack;
+
+    FleetRun run;
+    run.sets = static_cast<size_t>(spec.activeSets(quickMode()));
+    const size_t numCells = cl.pools.size() * run.sets;
+    const double t0 = wallNow();
+    run.cells = runSweep(numCells, [&](size_t i) {
+        const PoolSpec &pool = cl.pools[i / run.sets];
+        const uint64_t seed =
+            spec.seedBase + static_cast<uint64_t>(i % run.sets);
+        std::vector<Job> jobs =
+            periodic ? makePeriodicSet(seed, spec.waves,
+                                       spec.jobsPerWavePerMachine *
+                                           spec.poolMachines)
+                     : makeSustainedSet(seed, spec.jobsPerSet);
+        auto sim = std::make_unique<ClusterSim>(cl.makePool(pool), table,
+                                                cl.simConfig());
+        FleetCell cell;
+        cell.result = sim->run(jobs, pool.policy);
+        cell.events = sim->eventsProcessed();
+        if (i + 1 == numCells)
+            cell.sim = std::move(sim);
+        return cell;
+    });
+    run.wallSeconds = wallNow() - t0;
+
+    if (periodic) {
+        if (int rc = printRack(spec, opts, run))
+            return rc;
+    } else {
+        printSustained(spec, run);
+    }
+    writeOutputs(opts, run.cells.back().sim->statRegistry());
     return 0;
 }
 
@@ -673,15 +685,7 @@ runServing(const ExperimentSpec &spec, const Options &opts)
     if (!spec.footer.empty())
         std::printf("\n%s\n", spec.footer.c_str());
 
-    if (!opts.perfJsonPath.empty()) {
-        std::FILE *f = std::fopen(opts.perfJsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.perfJsonPath.c_str());
-            return 1;
-        }
-        writeJsonHeader(f, spec.benchName.c_str(), quick,
-                        sweepThreads(), rows.size(), wallSeconds);
+    auto writeRows = [&](std::FILE *f) {
         std::fprintf(f, "  \"rows\": [\n");
         for (size_t k = 0; k < rows.size(); ++k) {
             const traffic::ServingResult &r = rows[k].r;
@@ -713,11 +717,10 @@ runServing(const ExperimentSpec &spec, const Options &opts)
                 static_cast<unsigned long long>(r.failovers),
                 degraded, k + 1 < rows.size() ? "," : "");
         }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::fprintf(stderr, "perf json: %s\n",
-                     opts.perfJsonPath.c_str());
-    }
+    };
+    if (writeJsonFile(opts.perfJsonPath, "perf", spec, rows.size(),
+                      wallSeconds, writeRows))
+        return 1;
 
     writeOutputs(opts, reg);
     return 0;
@@ -749,8 +752,8 @@ runExperiment(const ExperimentSpec &spec, const Options &opts)
 
     switch (spec.kind) {
       case ExperimentKind::Overhead: return runOverhead(spec, opts);
-      case ExperimentKind::Sustained: return runSustained(spec, opts);
-      case ExperimentKind::Rack: return runRack(spec, opts);
+      case ExperimentKind::Sustained:
+      case ExperimentKind::Rack: return runFleet(spec, opts);
       case ExperimentKind::Single: return runSingle(spec, opts);
       case ExperimentKind::Serving: return runServing(spec, opts);
     }

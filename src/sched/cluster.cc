@@ -136,17 +136,11 @@ ClusterSim::migrationCost(const Job &job, int from, int to)
 {
     double bytes =
         cfg_.workingSetBytesPerScale * classScale(job.cls);
-    double transfer;
-    if (!net_.faulty()) {
-        transfer = net_.transferSeconds(static_cast<uint64_t>(bytes));
-    } else {
-        // Lossy link: the working-set transfer pays real
-        // retries/backoff from the seeded plan (seconds only; no core
-        // clock involved).
-        auto sent =
-            net_.reliableSend(static_cast<uint64_t>(bytes), 1.0);
-        transfer = sent.seconds;
-    }
+    // The working-set transfer is one message on the link: counted in
+    // net.*, and on a lossy link it pays real retries/backoff from the
+    // seeded plan (seconds only; no core clock involved).
+    const double transfer =
+        net_.reliableSend(static_cast<uint64_t>(bytes), 1.0).seconds;
     // Intra-rack (or no topology): the flat link cost, bit-identical
     // to the pre-topology arithmetic. Crossing switch boundaries
     // stretches the transfer by the oversubscription product and adds

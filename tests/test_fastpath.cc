@@ -228,10 +228,9 @@ struct RunCapture {
 };
 
 /** Run `bin` to completion, optionally under an adversarial ping-pong
- *  migration schedule, and capture every observable. Histogram stats
- *  compare by primary value (count), which is schedule-deterministic;
- *  full dumps are not comparable because stacktransform.host_us
- *  measures real host time. */
+ *  migration schedule, and capture every observable. Stats are
+ *  captured as a name -> primary value snapshot (a histogram's count);
+ *  no stat holds host time, so the snapshot is schedule-deterministic. */
 RunCapture
 captureRun(const MultiIsaBinary &bin, bool pingPong, uint64_t quantum)
 {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "compiler/compile.hh"
 #include "core/stacktransform.hh"
 #include "stat_read.hh"
@@ -235,6 +237,34 @@ TEST(Migration, TransformStatsRoundTripAcrossDirections)
     IRRunResult ref = runReference(mod);
     EXPECT_EQ(got.exitCode, ref.retVal);
     ASSERT_GE(os.migrations().size(), 2u);
+}
+
+TEST(Migration, IdenticalRunsDumpIdenticalStats)
+{
+    // The stat dump is a function of the simulated run: host
+    // wall-clock (the transform's hostSeconds) must stay out of it, or
+    // two identical migration runs would dump different bytes.
+    Module mod = makeDeepRecursionProgram(40);
+    MultiIsaBinary bin = compileModule(mod);
+    auto dump = [&bin] {
+        OsConfig cfg = OsConfig::dualServer();
+        cfg.quantum = 200;
+        ReplicatedOS os(bin, cfg);
+        os.load(0);
+        os.onQuantum = [](ReplicatedOS &self) {
+            if (self.migrations().size() < 4)
+                self.migrateProcess(1 - self.threadNode(0));
+        };
+        os.run();
+        EXPECT_GE(os.migrations().size(), 4u);
+        std::ostringstream out;
+        os.statRegistry().dumpJson(out);
+        return out.str();
+    };
+    const std::string first = dump();
+    EXPECT_NE(first.find("\"stacktransform.transforms\": 4"),
+              std::string::npos);
+    EXPECT_EQ(first, dump());
 }
 
 } // namespace

@@ -38,8 +38,8 @@ def require(path, what):
 
 def commands(build_dir, crash, confs_dir=None, fleet=False):
     """The per-seed command matrix: probe first (fast, focussed), then
-    the paper's scheduling experiments in quick mode (Fig. 12 through
-    xisa_exp and its conf, Fig. 13 through its bench). With --crash the
+    the paper's scheduling experiments in quick mode (Figs. 12 and 13
+    through xisa_exp and their confs). With --crash the
     matrix is the node-failure recovery scenario instead: the probe's
     crash legs (byte-identity against a crash-free run with the auditor
     armed) plus Fig. 12 under scripted crashes (xisa_exp and
@@ -53,7 +53,6 @@ def commands(build_dir, crash, confs_dir=None, fleet=False):
     must exist; a missing one exits 2 rather than shrinking the sweep.
     Conf paths are relative, so run from the repo root."""
     runner = os.path.join(build_dir, "src", "exp", "xisa_exp")
-    bench = os.path.join(build_dir, "bench")
     confs = os.path.join("examples", "confs")
     if fleet:
         return [("fleet_rack_outage",
@@ -68,14 +67,15 @@ def commands(build_dir, crash, confs_dir=None, fleet=False):
                  [require(runner, "build the xisa_exp target"),
                   require(os.path.join(confs, "fig12_crash.conf"),
                           "run from the repo root")])]
-    fig13 = os.path.join(bench, "bench_fig13_periodic")
     cmds = [("audit_probe", [probe]),
             ("fig12",
              [require(runner, "build the xisa_exp target"),
               require(os.path.join(confs, "fig12_sustained.conf"),
                       "run from the repo root")]),
             ("fig13",
-             [require(fig13, "build the bench_fig13_periodic target")])]
+             [require(runner, "build the xisa_exp target"),
+              require(os.path.join(confs, "fig13_periodic.conf"),
+                      "run from the repo root")])]
     if confs_dir:
         for entry in sorted(os.listdir(confs_dir)):
             if not entry.endswith(".conf"):
