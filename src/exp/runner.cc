@@ -445,8 +445,16 @@ runFleet(const ExperimentSpec &spec, const Options &opts)
                                        spec.jobsPerWavePerMachine *
                                            spec.poolMachines)
                      : makeSustainedSet(seed, spec.jobsPerSet);
+        ClusterSim::Config simCfg = cl.simConfig();
+        // A sustained set is an independent trial down to its link: its
+        // fault schedule comes from [faults] seed plus its job-set seed,
+        // so a set run alone still draws the same losses. Rack sets keep
+        // the conf's seed as is, which rack_faulty_finfet's recorded
+        // numbers rest on.
+        if (cl.hasFaults && !periodic)
+            simCfg.net.faults.seed += seed;
         auto sim = std::make_unique<ClusterSim>(cl.makePool(pool), table,
-                                                cl.simConfig());
+                                                simCfg);
         FleetCell cell;
         cell.result = sim->run(jobs, pool.policy);
         cell.events = sim->eventsProcessed();
@@ -575,8 +583,9 @@ runServing(const ExperimentSpec &spec, const Options &opts)
     tc.shards = t.shards;
 
     const double t0 = wallNow();
-    traffic::ServingProfile prof = traffic::ServingProfile::calibrate();
-    std::vector<traffic::Request> reqs = traffic::generateRequests(tc);
+    std::vector<traffic::Request> reqs;
+    const traffic::ServingProfile prof =
+        traffic::ServingProfile::calibrateAndGenerate(tc, reqs);
 
     traffic::ServingConfig base;
     for (const std::string &ref : spec.singleMachineRefs)

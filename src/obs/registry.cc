@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "util/fpbits.hh"
 #include "util/logging.hh"
 
 namespace xisa::obs {
@@ -101,7 +102,7 @@ Histogram::bucketIndex(double v)
     if (!(v > 0.0) || !std::isfinite(v))
         return INT32_MIN; // dedicated bucket for <= 0 / non-finite
     int e = 0;
-    double m = std::frexp(v, &e);
+    double m = frexpExact(v, &e);
     int sub = static_cast<int>((m - 0.5) * 2.0 * kSubBuckets);
     if (sub >= kSubBuckets)
         sub = kSubBuckets - 1;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "check/audit.hh"
 #include "compiler/compile.hh"
 #include "exp/sweep.hh"
 #include "os/os.hh"
+#include "util/fpbits.hh"
 #include "util/logging.hh"
 #include "workload/workloads.hh"
 
@@ -40,7 +42,7 @@ detLog(double x)
     // x = m * 2^e with m in [1/sqrt2, sqrt2): atanh series in
     // z = (m-1)/(m+1), |z| <= 0.1716, truncated at z^15 (~1e-14 rel).
     int e = 0;
-    double m = std::frexp(x, &e);
+    double m = frexpExact(x, &e);
     if (m < 0.70710678118654752440) {
         m *= 2.0;
         e -= 1;
@@ -68,7 +70,7 @@ detExp(double x)
         term *= r / i;
         sum += term;
     }
-    return std::ldexp(sum, static_cast<int>(k));
+    return ldexpExact(sum, static_cast<int>(k));
 }
 
 double
@@ -136,14 +138,26 @@ ZipfGenerator::skip(Rng &rng) const
         rng.next();
 }
 
+namespace {
+
+/**
+ * generateRequests(cfg), with `lead` cells of other work run first in
+ * the fill sweep of its first batch, so they share its workers.
+ */
+template <typename Lead>
 std::vector<Request>
-generateRequests(const TrafficConfig &cfg)
+generate(const TrafficConfig &cfg, size_t lead, Lead runLead)
 {
     std::vector<Request> out;
     const double rate = cfg.totalRate();
     if (rate <= 0.0 || cfg.durationSeconds <= 0.0 || cfg.shards < 1 ||
-        cfg.keySpace < 1)
+        cfg.keySpace < 1) {
+        exp::runSweep(lead, [&](size_t c) {
+            runLead(c);
+            return 0;
+        });
         return out;
+    }
 
     // Request i consumes, in order: one uniform for its inter-arrival
     // gap, the Zipf draw for its rank, one uniform for GET/SET. Each
@@ -179,7 +193,12 @@ generateRequests(const TrafficConfig &cfg)
             rng.next();
         }
 
-        exp::runSweep(chunks, [&](size_t c) {
+        exp::runSweep(lead + chunks, [&](size_t cell) {
+            if (cell < lead) {
+                runLead(cell);
+                return 0;
+            }
+            const size_t c = cell - lead;
             Rng local = starts[c];
             const size_t lo = first + c * kRequestChunk;
             const size_t hi = std::min(lo + kRequestChunk, first + batch);
@@ -200,6 +219,7 @@ generateRequests(const TrafficConfig &cfg)
             }
             return 0;
         });
+        lead = 0;
 
         for (size_t i = first; i < out.size(); ++i) {
             t += out[i].arrival;
@@ -210,6 +230,14 @@ generateRequests(const TrafficConfig &cfg)
             out[i].arrival = t;
         }
     }
+}
+
+} // namespace
+
+std::vector<Request>
+generateRequests(const TrafficConfig &cfg)
+{
+    return generate(cfg, 0, [](size_t) {});
 }
 
 // --- ServingProfile -------------------------------------------------
@@ -234,6 +262,17 @@ ServingProfile::synthetic()
 ServingProfile
 ServingProfile::calibrate()
 {
+    // No traffic: the sweep holds just the calibration cells.
+    TrafficConfig none;
+    none.durationSeconds = 0.0;
+    std::vector<Request> reqs;
+    return calibrateAndGenerate(none, reqs);
+}
+
+ServingProfile
+ServingProfile::calibrateAndGenerate(const TrafficConfig &cfg,
+                                     std::vector<Request> &reqs)
+{
     ServingProfile p = synthetic();
     Module mod = buildWorkload(WorkloadId::REDIS, ProblemClass::A);
     MultiIsaBinary bin = compileModule(mod);
@@ -245,9 +284,12 @@ ServingProfile::calibrate()
     // migration point and resuming on the other ISA: what a shard sees
     // when moved mid-traffic.
     const NodeSpec presets[2] = {makeXenoServer(), makeAetherServer()};
-    const std::vector<double> secs = exp::runSweep(3, [&](size_t c) {
-        if (c < 2)
-            return exp::runSingleNode(bin, presets[c]).makespanSeconds;
+    std::array<double, 3> secs{};
+    reqs = generate(cfg, secs.size(), [&](size_t c) {
+        if (c < 2) {
+            secs[c] = exp::runSingleNode(bin, presets[c]).makespanSeconds;
+            return;
+        }
         ReplicatedOS os(bin, OsConfig::dualServer());
         os.load(0);
         bool fired = false;
@@ -258,10 +300,8 @@ ServingProfile::calibrate()
             self.migrateProcess(1);
         };
         os.run();
-        double pause = 0.0;
         for (const MigrationEvent &ev : os.migrations())
-            pause += ev.resumeTime - ev.trapTime;
-        return pause;
+            secs[c] += ev.resumeTime - ev.trapTime;
     });
 
     for (size_t c = 0; c < 2; ++c) {
@@ -286,7 +326,8 @@ ServingProfile::calibrate()
 ServingSim::ServingSim(ServingConfig cfg, ServingProfile prof,
                        obs::StatRegistry &reg,
                        const std::string &prefix)
-    : cfg_(std::move(cfg)), prof_(std::move(prof))
+    : cfg_(std::move(cfg)), prof_(std::move(prof)),
+      auditing_(check::auditRequested())
 {
     reg.attach(prefix + ".requests", requests_);
     reg.attach(prefix + ".gets", gets_);
@@ -329,11 +370,8 @@ ServingSim::run(const std::vector<Request> &reqs)
                   "shed_deciles=%d",
                   w.start, w.end, w.shedDeciles);
 
-    std::vector<std::vector<uint32_t>> perShard(shards);
-    for (size_t i = 0; i < n; ++i)
-        perShard[reqs[i].shard].push_back(static_cast<uint32_t>(i));
-
-    // Per-shard schedule: this shard's migrations plus every crash
+    // A shard is a single-server FIFO that only its own requests and
+    // events move. Its schedule is its migrations plus every crash
     // (crashes only bite if the shard sits on the node when it dies),
     // sorted by time with a deterministic tie-break.
     struct Event {
@@ -342,23 +380,34 @@ ServingSim::run(const std::vector<Request> &reqs)
         int node = 0;       ///< migration destination / crashed node
         double down = 0;    ///< crash only
     };
-    std::vector<std::vector<Event>> schedule(shards);
+    struct Shard {
+        int node = 0;
+        double clock = 0.0;
+        int coldLeft = 0;
+        std::vector<Event> events;
+        size_t next = 0; ///< first event not yet applied
+    };
+    std::vector<Shard> state(static_cast<size_t>(shards));
+    for (int s = 0; s < shards; ++s)
+        state[s].node = cfg_.placement[s];
     for (const ShardMigration &m : cfg_.migrations) {
         if (m.shard < 0 || m.shard >= shards || m.node < 0 ||
             m.node >= numNodes)
             panic("ServingSim: bad migration shard=%d node=%d",
                   m.shard, m.node);
-        schedule[m.shard].push_back({m.time, false, m.node, 0});
+        state[m.shard].events.push_back({m.time, false, m.node, 0});
     }
+    double firstCrash = -1.0;
     for (const NodeCrash &c : cfg_.crashes) {
         if (c.node < 0 || c.node >= numNodes)
             panic("ServingSim: crash references node %d", c.node);
-        for (int s = 0; s < shards; ++s)
-            schedule[s].push_back(
-                {c.time, true, c.node, c.downSeconds});
+        if (firstCrash < 0.0 || c.time < firstCrash)
+            firstCrash = c.time;
+        for (Shard &sh : state)
+            sh.events.push_back({c.time, true, c.node, c.downSeconds});
     }
-    for (std::vector<Event> &evs : schedule)
-        std::stable_sort(evs.begin(), evs.end(),
+    for (Shard &sh : state)
+        std::stable_sort(sh.events.begin(), sh.events.end(),
                          [](const Event &a, const Event &b) {
                              if (a.time != b.time)
                                  return a.time < b.time;
@@ -374,218 +423,166 @@ ServingSim::run(const std::vector<Request> &reqs)
                 return false;
         return true;
     };
-    // Pure function of (arrival, decile) and the config, so shedding
-    // decisions are identical on every worker layout.
-    auto shedNow = [&](const Request &r) {
+    // Coldest deciles shed at time t: the most any brownout window
+    // holding t sheds, 0 outside every window.
+    auto shedDeciles = [&](double t) {
+        int deciles = 0;
         for (const BrownoutWindow &w : cfg_.brownouts)
-            if (r.arrival >= w.start && r.arrival < w.end &&
-                static_cast<int>(r.decile) >= 10 - w.shedDeciles)
-                return true;
-        return false;
+            if (t >= w.start && t < w.end)
+                deciles = std::max(deciles, w.shedDeciles);
+        return deciles;
     };
 
-    double firstCrash = -1.0;
-    for (const NodeCrash &c : cfg_.crashes)
-        if (firstCrash < 0.0 || c.time < firstCrash)
-            firstCrash = c.time;
-
-    // Simulate the shards in parallel. Every per-request quantity is a
-    // pure function of the stream and the config, and the workers
-    // write into disjoint slots of the index-ordered arrays, so the
-    // worker count cannot change a single byte of the result.
-    std::vector<double> latSeconds(n);
-    /** 1 if the request completed after the first crash. */
-    std::vector<uint8_t> afterCrash(n);
-    std::vector<int32_t> servedOn(n);
-    struct ShardAgg {
-        uint64_t migrations = 0, failovers = 0;
-    };
-    std::vector<ShardAgg> aggs =
-        exp::runSweep(static_cast<size_t>(shards), [&](size_t s) {
-            ShardAgg agg;
-            int node = cfg_.placement[s];
-            double clock = 0.0;
-            int coldLeft = 0;
-            const std::vector<Event> &evs = schedule[s];
-            size_t ei = 0;
-
-            auto apply = [&](const Event &ev) {
-                if (ev.isCrash) {
-                    if (ev.node != node)
-                        return;
-                    // Failure-domain-aware failover: the dead node's
-                    // rack is usually failing with it (ToR or PDU), so
-                    // prefer the lowest-index survivor OUTSIDE that
-                    // rack and only fall back to a rack-mate when no
-                    // other rack has capacity. An empty nodeRack map
-                    // keeps the legacy rack-blind scan byte-for-byte.
-                    const int deadRack = cfg_.nodeRack.empty()
-                                             ? -1
-                                             : cfg_.nodeRack[static_cast<
-                                                   size_t>(ev.node)];
-                    int survivor = -1;
-                    if (deadRack >= 0) {
-                        for (int cand = 0; cand < numNodes; ++cand) {
-                            if (cand != ev.node &&
-                                cfg_.nodeRack[static_cast<size_t>(
-                                    cand)] != deadRack &&
-                                alive(cand, ev.time)) {
-                                survivor = cand;
-                                break;
-                            }
-                        }
-                    }
-                    if (survivor < 0) {
-                        for (int cand = 0; cand < numNodes; ++cand) {
-                            if (cand != ev.node &&
-                                alive(cand, ev.time)) {
-                                survivor = cand;
-                                break;
-                            }
-                        }
-                    }
-                    if (survivor >= 0) {
-                        clock = std::max(clock, ev.time) +
-                                prof_.failoverSeconds;
-                        node = survivor;
-                    } else {
-                        // No survivor: wait out the outage in place.
-                        clock = std::max(clock, ev.time + ev.down) +
-                                prof_.failoverSeconds;
-                    }
-                    coldLeft = prof_.coldRequests;
-                    ++agg.failovers;
-                } else {
-                    if (ev.node == node || !alive(ev.node, ev.time))
-                        return;
-                    clock = std::max(clock, ev.time) +
-                            prof_.migrateSeconds;
-                    node = ev.node;
-                    coldLeft = prof_.coldRequests;
-                    ++agg.migrations;
-                }
-            };
-            auto serviceSeconds = [&](const Request &r) {
-                const size_t isa =
-                    static_cast<size_t>(cfg_.nodes[node].isa);
-                double base = r.isGet ? prof_.getSeconds[isa]
-                                      : prof_.setSeconds[isa];
-                // Key-dependent spread (value size / probe length):
-                // 0.75x .. 1.24x, fixed per (key, op).
-                const uint64_t h = mix64(
-                    static_cast<uint64_t>(r.key) * 2 +
-                    (r.isGet ? 1 : 0));
-                base *= 0.75 +
-                        static_cast<double>(h & 63) / 128.0;
-                if (coldLeft > 0)
-                    base *= 1.0 + prof_.coldFactor *
-                                      static_cast<double>(coldLeft) /
-                                      prof_.coldRequests;
-                return base;
-            };
-
-            for (uint32_t idx : perShard[s]) {
-                const Request &r = reqs[idx];
-                if (shedNow(r)) {
-                    // Shed at the door: no service, no queueing, and
-                    // the shard clock stays put. Events up to the
-                    // arrival still fire so node state keeps moving.
-                    while (ei < evs.size() &&
-                           evs[ei].time <= r.arrival)
-                        apply(evs[ei++]);
-                    latSeconds[idx] = 0.0;
-                    servedOn[idx] = -1;
-                    continue;
-                }
-                for (;;) {
-                    double start = std::max(r.arrival, clock);
-                    while (ei < evs.size() &&
-                           evs[ei].time <= start) {
-                        apply(evs[ei++]);
-                        start = std::max(r.arrival, clock);
-                    }
-                    const double done = start + serviceSeconds(r);
-                    if (ei < evs.size() && evs[ei].time < done) {
-                        // The event preempts the in-flight request:
-                        // for a crash the work is lost; for a live
-                        // migration the request is replayed on the
-                        // destination after the pause. Either way its
-                        // latency keeps growing until it completes.
-                        apply(evs[ei++]);
-                        continue;
-                    }
-                    clock = done;
-                    if (coldLeft > 0)
-                        --coldLeft;
-                    latSeconds[idx] = done - r.arrival;
-                    afterCrash[idx] = firstCrash >= 0.0 && done > firstCrash;
-                    servedOn[idx] = node;
-                    break;
-                }
-            }
-            return agg;
-        });
-
-    // Accounting in global arrival order: histogram fills and counter
-    // bumps happen in one fixed sequence regardless of worker count.
     ServingResult res;
     res.requests = n;
     res.servedByNode.assign(cfg_.nodes.size(), 0);
     res.servedByNodeAfterCrash.assign(cfg_.nodes.size(), 0);
-    for (const ShardAgg &a : aggs) {
-        res.migrations += a.migrations;
-        res.failovers += a.failovers;
-    }
-    migrations_.add(res.migrations);
-    failovers_.add(res.failovers);
-
-    auto inBrownout = [&](double t) {
-        for (const BrownoutWindow &w : cfg_.brownouts)
-            if (t >= w.start && t < w.end)
-                return true;
-        return false;
+    auto apply = [&](Shard &sh, const Event &ev) {
+        if (ev.isCrash) {
+            if (ev.node != sh.node)
+                return;
+            // Failure-domain-aware failover: the dead node's rack is
+            // usually failing with it (ToR or PDU), so prefer the
+            // lowest-index survivor OUTSIDE that rack and only fall back
+            // to a rack-mate when no other rack has capacity. An empty
+            // nodeRack map keeps the legacy rack-blind scan.
+            auto firstSurvivor = [&](int avoidRack) {
+                for (int cand = 0; cand < numNodes; ++cand)
+                    if (cand != ev.node && alive(cand, ev.time) &&
+                        (avoidRack < 0 || cfg_.nodeRack[cand] != avoidRack))
+                        return cand;
+                return -1;
+            };
+            const int deadRack =
+                cfg_.nodeRack.empty() ? -1 : cfg_.nodeRack[ev.node];
+            int survivor = deadRack >= 0 ? firstSurvivor(deadRack) : -1;
+            if (survivor < 0)
+                survivor = firstSurvivor(-1);
+            if (survivor >= 0) {
+                sh.clock = std::max(sh.clock, ev.time) +
+                           prof_.failoverSeconds;
+                sh.node = survivor;
+            } else {
+                // No survivor: wait out the outage in place.
+                sh.clock = std::max(sh.clock, ev.time + ev.down) +
+                           prof_.failoverSeconds;
+            }
+            sh.coldLeft = prof_.coldRequests;
+            ++res.failovers;
+        } else {
+            if (ev.node == sh.node || !alive(ev.node, ev.time))
+                return;
+            sh.clock = std::max(sh.clock, ev.time) + prof_.migrateSeconds;
+            sh.node = ev.node;
+            sh.coldLeft = prof_.coldRequests;
+            ++res.migrations;
+        }
+    };
+    auto serviceSeconds = [&](const Shard &sh, const Request &r) {
+        const size_t isa = static_cast<size_t>(cfg_.nodes[sh.node].isa);
+        double base = r.isGet ? prof_.getSeconds[isa] : prof_.setSeconds[isa];
+        // Key-dependent spread (value size / probe length): 0.75x ..
+        // 1.24x, fixed per (key, op).
+        const uint64_t h =
+            mix64(static_cast<uint64_t>(r.key) * 2 + (r.isGet ? 1 : 0));
+        base *= 0.75 + static_cast<double>(h & 63) / 128.0;
+        if (sh.coldLeft > 0)
+            base *= 1.0 + prof_.coldFactor *
+                              static_cast<double>(sh.coldLeft) /
+                              prof_.coldRequests;
+        return base;
     };
 
+    // One pass in arrival order. Each shard reaches its requests in its
+    // own order, so it evolves exactly as if simulated alone, and every
+    // request is accounted for as it completes, in one fixed sequence.
     for (size_t i = 0; i < n; ++i) {
-        ++requests_;
-        if (servedOn[i] < 0) {
-            // Shed at the door: counted as a request (and as shed),
-            // but it never ran, so it contributes no latency sample,
-            // no GET/SET split, and no SLO violation.
-            ++shed_;
+        const Request &r = reqs[i];
+        if (r.shard >= shards)
+            panic("ServingSim: request %zu names shard %d of %d", i,
+                  static_cast<int>(r.shard), shards);
+        Shard &sh = state[r.shard];
+        const std::vector<Event> &evs = sh.events;
+        const int shedding = shedDeciles(r.arrival);
+        if (shedding > 0 && static_cast<int>(r.decile) >= 10 - shedding) {
+            // Shed at the door: no service, no queueing, and the shard
+            // clock stays put. Events up to the arrival still fire so
+            // node state keeps moving. Counted as a request (and as
+            // shed), but it never ran, so it contributes no latency
+            // sample, no GET/SET split, and no SLO violation.
+            while (sh.next < evs.size() && evs[sh.next].time <= r.arrival)
+                apply(sh, evs[sh.next++]);
             ++res.shed;
-            res.violationsByDecile[i * 10 / (n ? n : 1)] =
-                res.sloViolations;
+            res.violationsByDecile[i * 10 / n] = res.sloViolations;
             continue;
         }
-        const double us = latSeconds[i] * 1e6;
-        latencyUs_.add(us);
-        if (reqs[i].isGet) {
-            ++gets_;
-            ++res.gets;
-        } else {
-            ++sets_;
-            ++res.sets;
-        }
-        if (us > cfg_.sloUs) {
-            ++sloViolations_;
-            ++res.sloViolations;
-            if (inBrownout(reqs[i].arrival)) {
-                ++violationsDegraded_;
-                ++res.violationsDegraded;
+        double done = 0.0, service = 0.0;
+        for (;;) {
+            double start = std::max(r.arrival, sh.clock);
+            while (sh.next < evs.size() && evs[sh.next].time <= start) {
+                apply(sh, evs[sh.next++]);
+                start = std::max(r.arrival, sh.clock);
             }
+            service = serviceSeconds(sh, r);
+            done = start + service;
+            if (sh.next < evs.size() && evs[sh.next].time < done) {
+                // The event preempts the in-flight request: for a crash
+                // the work is lost; for a live migration the request is
+                // replayed on the destination after the pause. Either
+                // way its latency keeps growing until it completes.
+                apply(sh, evs[sh.next++]);
+                continue;
+            }
+            break;
         }
-        const int nd = servedOn[i];
-        ++nodeServed_[static_cast<size_t>(nd)];
-        ++res.servedByNode[static_cast<size_t>(nd)];
-        if (afterCrash[i])
-            ++res.servedByNodeAfterCrash[static_cast<size_t>(nd)];
-        res.violationsByDecile[i * 10 / (n ? n : 1)] =
-            res.sloViolations;
+        // Latency >= service, compared as times: done - arrival can
+        // round below the service time while done >= arrival + service.
+        if (auditing_ && (done < sh.clock || done < r.arrival + service))
+            panic("serving audit: shard %d request %zu completes at %.9f "
+                  "(arrival %.9f, service %.9f, shard clock %.9f)",
+                  static_cast<int>(r.shard), i, done, r.arrival, service,
+                  sh.clock);
+        sh.clock = done;
+        if (sh.coldLeft > 0)
+            --sh.coldLeft;
+
+        const double us = (done - r.arrival) * 1e6;
+        latencyUs_.add(us);
+        ++(r.isGet ? res.gets : res.sets);
+        if (us > cfg_.sloUs) {
+            ++res.sloViolations;
+            if (shedding > 0)
+                ++res.violationsDegraded;
+        }
+        ++res.servedByNode[sh.node];
+        if (firstCrash >= 0.0 && done > firstCrash)
+            ++res.servedByNodeAfterCrash[sh.node];
+        res.violationsByDecile[i * 10 / n] = res.sloViolations;
     }
     for (size_t d = 1; d < res.violationsByDecile.size(); ++d)
         res.violationsByDecile[d] = std::max(
             res.violationsByDecile[d], res.violationsByDecile[d - 1]);
+    requests_.add(n);
+    gets_.add(res.gets);
+    sets_.add(res.sets);
+    sloViolations_.add(res.sloViolations);
+    violationsDegraded_.add(res.violationsDegraded);
+    shed_.add(res.shed);
+    migrations_.add(res.migrations);
+    failovers_.add(res.failovers);
+    uint64_t byNode = 0;
+    for (size_t nd = 0; nd < nodeServed_.size(); ++nd) {
+        nodeServed_[nd].add(res.servedByNode[nd]);
+        byNode += res.servedByNode[nd];
+    }
+    if (auditing_ && (res.gets + res.sets + res.shed != res.requests ||
+                      byNode != res.gets + res.sets))
+        panic("serving audit: %zu requests, %llu gets + %llu sets + %llu "
+              "shed, %llu served by node",
+              n, static_cast<unsigned long long>(res.gets),
+              static_cast<unsigned long long>(res.sets),
+              static_cast<unsigned long long>(res.shed),
+              static_cast<unsigned long long>(byNode));
 
     res.p50Us = latencyUs_.percentile(0.5);
     res.p99Us = latencyUs_.percentile(0.99);

@@ -23,14 +23,14 @@
  * fixed chunk starts, a runSweep-parallel fill pass computes every
  * request of a chunk from that state, and a serial scan prefix-sums
  * the inter-arrival gaps in order and cuts the stream at the duration.
- * Shards simulate independently (runSweep-parallel, but every
- * per-request quantity depends only on the stream and the config), and
- * the final accounting pass -- histogram fills, SLO counters -- runs
- * in global request order. Same seed therefore means byte-identical
- * stats output regardless of XISA_BENCH_THREADS. The
- * few transcendentals involved (exp/log/pow for the samplers) are
- * implemented here from IEEE-exact primitives instead of libm, so the
- * bytes also hold across platforms and libm versions.
+ * ServingSim then walks the stream once, serially, in arrival order:
+ * each request advances only its own shard's state and is accounted
+ * for -- histogram fill, SLO counters -- as it completes. Same seed
+ * therefore means byte-identical stats output regardless of
+ * XISA_BENCH_THREADS. The few transcendentals involved (exp/log/pow
+ * for the samplers) are implemented here from IEEE-exact primitives
+ * instead of libm, so the bytes also hold across platforms and libm
+ * versions.
  */
 
 #ifndef XISA_TRAFFIC_TRAFFIC_HH
@@ -148,6 +148,12 @@ struct ServingProfile {
      * simulation); one-time cost of a few interpreter runs.
      */
     static ServingProfile calibrate();
+    /** calibrate() and generateRequests(cfg) (into `reqs`) in one
+     *  runSweep: the three calibration cells go first and the fill
+     *  chunks take up the workers they leave idle. Same results as the
+     *  two calls. */
+    static ServingProfile calibrateAndGenerate(const TrafficConfig &cfg,
+                                               std::vector<Request> &reqs);
     /** Fixed plausible values (Xeno ~25 us GET, Aether ~3x); for unit
      *  tests that should not pay for calibration. */
     static ServingProfile synthetic();
@@ -225,10 +231,13 @@ struct ServingResult {
 };
 
 /**
- * Replays a request stream against a ServingConfig. Shards simulate in
- * parallel (runSweep); accounting and histogram fills run in global
- * request order, so stats bytes are independent of the worker count.
- * Stats register on `reg` under `prefix` (e.g. "serving.static").
+ * Replays a request stream against a ServingConfig in one ordered pass.
+ * A shard is a single-server FIFO that only its own requests and events
+ * move, so meeting each shard's requests in arrival order simulates it
+ * exactly as if it ran alone. Stats register on `reg` under `prefix`
+ * (e.g. "serving.static"). Under XISA_AUDIT=1, run() also checks that no
+ * shard clock runs backwards, that every latency covers its service
+ * time, and that served + shed and the per-node counts add up.
  */
 class ServingSim
 {
@@ -243,6 +252,8 @@ class ServingSim
   private:
     ServingConfig cfg_;
     ServingProfile prof_;
+    /** XISA_AUDIT: per-request and end-of-run bookkeeping checks. */
+    bool auditing_ = false;
     obs::Counter requests_, gets_, sets_;
     obs::Counter sloViolations_, migrations_, failovers_;
     /** Attached only when brownout windows are configured, so a

@@ -1,16 +1,21 @@
 /**
  * @file
- * Unit tests for the traffic layer: the deterministic transcendentals,
- * the statistical shape of the generated stream (Poisson arrivals,
- * Zipf popularity, GET/SET mix, key-hash sharding), and the serving
- * simulator's core contracts -- byte-determinism across worker counts,
- * live migration relieving an overloaded shard, and result fields
- * agreeing with the registered counters.
+ * Unit tests for the traffic layer: the deterministic transcendentals
+ * and the exact frexp/ldexp under them, the statistical shape of the
+ * generated stream (Poisson arrivals, Zipf popularity, GET/SET mix,
+ * key-hash sharding), and the serving simulator's core contracts --
+ * byte-determinism across worker counts, the ordered pass matching the
+ * per-shard algorithm it replaced, live migration relieving an
+ * overloaded shard, and result fields agreeing with the registered
+ * counters.
  */
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -21,6 +26,7 @@
 #include "machine/node.hh"
 #include "obs/registry.hh"
 #include "traffic/traffic.hh"
+#include "util/fpbits.hh"
 #include "util/rng.hh"
 
 namespace xisa {
@@ -414,6 +420,593 @@ TEST(Traffic, ResultAgreesWithRegisteredCounters)
     for (size_t d = 1; d < r.violationsByDecile.size(); ++d)
         EXPECT_GE(r.violationsByDecile[d], r.violationsByDecile[d - 1]);
     EXPECT_EQ(r.violationsByDecile.back(), r.sloViolations);
+}
+
+
+// --- The ordered pass against the per-shard algorithm it replaced ----
+
+/**
+ * ServingSim::run as it was before the ordered pass, kept as the
+ * reference: bucket the stream by shard, simulate each shard alone
+ * over its own requests, then account for every request in arrival
+ * order. Registers the same stats under the same names.
+ */
+class PerShardReference
+{
+  public:
+    PerShardReference(ServingConfig cfg, ServingProfile prof,
+                      obs::StatRegistry &reg, const std::string &prefix)
+        : cfg_(std::move(cfg)), prof_(std::move(prof))
+    {
+        reg.attach(prefix + ".requests", requests_);
+        reg.attach(prefix + ".gets", gets_);
+        reg.attach(prefix + ".sets", sets_);
+        reg.attach(prefix + ".slo_violations", sloViolations_);
+        reg.attach(prefix + ".migrations", migrations_);
+        reg.attach(prefix + ".failovers", failovers_);
+        if (!cfg_.brownouts.empty()) {
+            reg.attach(prefix + ".shed", shed_);
+            reg.attach(prefix + ".slo_violations_degraded",
+                       violationsDegraded_);
+        }
+        reg.attach(prefix + ".latency_us", latencyUs_);
+        nodeServed_.reserve(cfg_.nodes.size());
+        for (size_t i = 0; i < cfg_.nodes.size(); ++i) {
+            nodeServed_.emplace_back();
+            reg.attach(prefix + ".node" + std::to_string(i) + ".served",
+                       nodeServed_.back());
+        }
+    }
+
+    ServingResult run(const std::vector<Request> &reqs)
+    {
+        const size_t n = reqs.size();
+        const int shards = static_cast<int>(cfg_.placement.size());
+        const int numNodes = static_cast<int>(cfg_.nodes.size());
+        std::vector<std::vector<uint32_t>> perShard(shards);
+        for (size_t i = 0; i < n; ++i)
+            perShard[reqs[i].shard].push_back(static_cast<uint32_t>(i));
+
+        struct Event {
+            double time = 0;
+            bool isCrash = false;
+            int node = 0;
+            double down = 0;
+        };
+        std::vector<std::vector<Event>> schedule(shards);
+        for (const traffic::ShardMigration &m : cfg_.migrations)
+            schedule[m.shard].push_back({m.time, false, m.node, 0});
+        for (const traffic::NodeCrash &c : cfg_.crashes)
+            for (int s = 0; s < shards; ++s)
+                schedule[s].push_back({c.time, true, c.node, c.downSeconds});
+        for (std::vector<Event> &evs : schedule)
+            std::stable_sort(evs.begin(), evs.end(),
+                             [](const Event &a, const Event &b) {
+                                 if (a.time != b.time)
+                                     return a.time < b.time;
+                                 if (a.isCrash != b.isCrash)
+                                     return a.isCrash;
+                                 return a.node < b.node;
+                             });
+        auto alive = [&](int nd, double t) {
+            for (const traffic::NodeCrash &c : cfg_.crashes)
+                if (c.node == nd && t >= c.time &&
+                    t < c.time + c.downSeconds)
+                    return false;
+            return true;
+        };
+        auto shedNow = [&](const Request &r) {
+            for (const traffic::BrownoutWindow &w : cfg_.brownouts)
+                if (r.arrival >= w.start && r.arrival < w.end &&
+                    static_cast<int>(r.decile) >= 10 - w.shedDeciles)
+                    return true;
+            return false;
+        };
+        double firstCrash = -1.0;
+        for (const traffic::NodeCrash &c : cfg_.crashes)
+            if (firstCrash < 0.0 || c.time < firstCrash)
+                firstCrash = c.time;
+
+        std::vector<double> latSeconds(n);
+        std::vector<uint8_t> afterCrash(n);
+        std::vector<int32_t> servedOn(n);
+        uint64_t migrations = 0, failovers = 0;
+        for (int s = 0; s < shards; ++s) {
+            int node = cfg_.placement[s];
+            double clock = 0.0;
+            int coldLeft = 0;
+            const std::vector<Event> &evs = schedule[s];
+            size_t ei = 0;
+            auto apply = [&](const Event &ev) {
+                if (ev.isCrash) {
+                    if (ev.node != node)
+                        return;
+                    const int deadRack =
+                        cfg_.nodeRack.empty() ? -1 : cfg_.nodeRack[ev.node];
+                    int survivor = -1;
+                    if (deadRack >= 0)
+                        for (int cand = 0; cand < numNodes; ++cand)
+                            if (cand != ev.node &&
+                                cfg_.nodeRack[cand] != deadRack &&
+                                alive(cand, ev.time)) {
+                                survivor = cand;
+                                break;
+                            }
+                    if (survivor < 0)
+                        for (int cand = 0; cand < numNodes; ++cand)
+                            if (cand != ev.node && alive(cand, ev.time)) {
+                                survivor = cand;
+                                break;
+                            }
+                    if (survivor >= 0) {
+                        clock = std::max(clock, ev.time) +
+                                prof_.failoverSeconds;
+                        node = survivor;
+                    } else {
+                        clock = std::max(clock, ev.time + ev.down) +
+                                prof_.failoverSeconds;
+                    }
+                    coldLeft = prof_.coldRequests;
+                    ++failovers;
+                } else {
+                    if (ev.node == node || !alive(ev.node, ev.time))
+                        return;
+                    clock = std::max(clock, ev.time) + prof_.migrateSeconds;
+                    node = ev.node;
+                    coldLeft = prof_.coldRequests;
+                    ++migrations;
+                }
+            };
+            auto serviceSeconds = [&](const Request &r) {
+                const size_t isa = static_cast<size_t>(cfg_.nodes[node].isa);
+                double base = r.isGet ? prof_.getSeconds[isa]
+                                      : prof_.setSeconds[isa];
+                const uint64_t h = traffic::mix64(
+                    static_cast<uint64_t>(r.key) * 2 + (r.isGet ? 1 : 0));
+                base *= 0.75 + static_cast<double>(h & 63) / 128.0;
+                if (coldLeft > 0)
+                    base *= 1.0 + prof_.coldFactor *
+                                      static_cast<double>(coldLeft) /
+                                      prof_.coldRequests;
+                return base;
+            };
+            for (uint32_t idx : perShard[s]) {
+                const Request &r = reqs[idx];
+                if (shedNow(r)) {
+                    while (ei < evs.size() && evs[ei].time <= r.arrival)
+                        apply(evs[ei++]);
+                    servedOn[idx] = -1;
+                    continue;
+                }
+                for (;;) {
+                    double start = std::max(r.arrival, clock);
+                    while (ei < evs.size() && evs[ei].time <= start) {
+                        apply(evs[ei++]);
+                        start = std::max(r.arrival, clock);
+                    }
+                    const double done = start + serviceSeconds(r);
+                    if (ei < evs.size() && evs[ei].time < done) {
+                        apply(evs[ei++]);
+                        continue;
+                    }
+                    clock = done;
+                    if (coldLeft > 0)
+                        --coldLeft;
+                    latSeconds[idx] = done - r.arrival;
+                    afterCrash[idx] = firstCrash >= 0.0 && done > firstCrash;
+                    servedOn[idx] = node;
+                    break;
+                }
+            }
+        }
+
+        ServingResult res;
+        res.requests = n;
+        res.servedByNode.assign(cfg_.nodes.size(), 0);
+        res.servedByNodeAfterCrash.assign(cfg_.nodes.size(), 0);
+        res.migrations = migrations;
+        res.failovers = failovers;
+        migrations_.add(migrations);
+        failovers_.add(failovers);
+        auto inBrownout = [&](double t) {
+            for (const traffic::BrownoutWindow &w : cfg_.brownouts)
+                if (t >= w.start && t < w.end)
+                    return true;
+            return false;
+        };
+        for (size_t i = 0; i < n; ++i) {
+            ++requests_;
+            if (servedOn[i] < 0) {
+                ++shed_;
+                ++res.shed;
+                res.violationsByDecile[i * 10 / n] = res.sloViolations;
+                continue;
+            }
+            const double us = latSeconds[i] * 1e6;
+            latencyUs_.add(us);
+            if (reqs[i].isGet) {
+                ++gets_;
+                ++res.gets;
+            } else {
+                ++sets_;
+                ++res.sets;
+            }
+            if (us > cfg_.sloUs) {
+                ++sloViolations_;
+                ++res.sloViolations;
+                if (inBrownout(reqs[i].arrival)) {
+                    ++violationsDegraded_;
+                    ++res.violationsDegraded;
+                }
+            }
+            ++nodeServed_[servedOn[i]];
+            ++res.servedByNode[servedOn[i]];
+            if (afterCrash[i])
+                ++res.servedByNodeAfterCrash[servedOn[i]];
+            res.violationsByDecile[i * 10 / n] = res.sloViolations;
+        }
+        for (size_t d = 1; d < res.violationsByDecile.size(); ++d)
+            res.violationsByDecile[d] = std::max(
+                res.violationsByDecile[d], res.violationsByDecile[d - 1]);
+        res.p50Us = latencyUs_.percentile(0.5);
+        res.p99Us = latencyUs_.percentile(0.99);
+        res.p999Us = latencyUs_.percentile(0.999);
+        res.maxUs = latencyUs_.max();
+        return res;
+    }
+
+  private:
+    ServingConfig cfg_;
+    ServingProfile prof_;
+    obs::Counter requests_, gets_, sets_;
+    obs::Counter sloViolations_, migrations_, failovers_;
+    obs::Counter shed_, violationsDegraded_;
+    obs::Histogram latencyUs_;
+    std::vector<obs::Counter> nodeServed_;
+};
+
+/** Sets XISA_AUDIT for one scope and clears it after. */
+class AuditGuard
+{
+  public:
+    AuditGuard() { setenv("XISA_AUDIT", "1", 1); }
+    ~AuditGuard() { unsetenv("XISA_AUDIT"); }
+};
+
+struct ServingCase {
+    std::string name;
+    ServingConfig cfg;
+    std::vector<Request> reqs;
+};
+
+void
+expectSameResult(const ServingResult &want, const ServingResult &got,
+                 const std::string &what)
+{
+    EXPECT_EQ(want.requests, got.requests) << what;
+    EXPECT_EQ(want.gets, got.gets) << what;
+    EXPECT_EQ(want.sets, got.sets) << what;
+    EXPECT_EQ(want.sloViolations, got.sloViolations) << what;
+    EXPECT_EQ(want.violationsDegraded, got.violationsDegraded) << what;
+    EXPECT_EQ(want.shed, got.shed) << what;
+    EXPECT_EQ(want.migrations, got.migrations) << what;
+    EXPECT_EQ(want.failovers, got.failovers) << what;
+    EXPECT_EQ(want.p50Us, got.p50Us) << what;
+    EXPECT_EQ(want.p99Us, got.p99Us) << what;
+    EXPECT_EQ(want.p999Us, got.p999Us) << what;
+    EXPECT_EQ(want.maxUs, got.maxUs) << what;
+    EXPECT_EQ(want.violationsByDecile, got.violationsByDecile) << what;
+    EXPECT_EQ(want.servedByNode, got.servedByNode) << what;
+    EXPECT_EQ(want.servedByNodeAfterCrash, got.servedByNodeAfterCrash)
+        << what;
+}
+
+/** A seeded scenario: random nodes, racks, placement, migrations,
+ *  crashes and brownouts over a short stream. */
+ServingCase
+randomCase(uint64_t seed)
+{
+    Rng rng(seed);
+    ServingCase c;
+    c.name = "seed " + std::to_string(seed);
+    TrafficConfig tc = smallConfig();
+    tc.seed = seed;
+    tc.durationSeconds = 0.05 + 0.25 * rng.uniform();
+    tc.requestHz = 5.0 + 60.0 * rng.uniform();
+    tc.shards = 1 + static_cast<int>(rng.below(8));
+    tc.zipfSkew = rng.below(4) == 0 ? 0.0 : 0.99;
+    c.reqs = traffic::generateRequests(tc);
+    const double d = tc.durationSeconds;
+
+    const int nodes = 1 + static_cast<int>(rng.below(6));
+    for (int nd = 0; nd < nodes; ++nd)
+        c.cfg.nodes.push_back(rng.below(2) ? makeXenoServer()
+                                           : makeAetherServer());
+    if (rng.below(2))
+        for (int nd = 0; nd < nodes; ++nd)
+            c.cfg.nodeRack.push_back(static_cast<int>(rng.below(3)));
+    for (int s = 0; s < tc.shards; ++s)
+        c.cfg.placement.push_back(static_cast<int>(rng.below(nodes)));
+    const int crashes = static_cast<int>(rng.below(4));
+    for (int k = 0; k < crashes; ++k)
+        c.cfg.crashes.push_back({static_cast<int>(rng.below(nodes)),
+                                 d * rng.uniform(),
+                                 d * 0.5 * rng.uniform()});
+    const int migrations = static_cast<int>(rng.below(6));
+    for (int k = 0; k < migrations; ++k) {
+        const int shard = static_cast<int>(rng.below(tc.shards));
+        double at = d * rng.uniform();
+        int dest = static_cast<int>(rng.below(nodes));
+        // Now and then aim at a node inside its crash window.
+        if (!c.cfg.crashes.empty() && rng.below(3) == 0) {
+            const traffic::NodeCrash &cr =
+                c.cfg.crashes[rng.below(c.cfg.crashes.size())];
+            dest = cr.node;
+            at = cr.time + cr.downSeconds * 0.5;
+        }
+        c.cfg.migrations.push_back({shard, at, dest});
+    }
+    if (rng.below(2)) {
+        const double start = d * rng.uniform();
+        c.cfg.brownouts.push_back(
+            {start, start + d * 0.4 * rng.uniform(),
+             1 + static_cast<int>(rng.below(10))});
+    }
+    c.cfg.sloUs = 100.0 + 900.0 * rng.uniform();
+    return c;
+}
+
+/** Scenarios that each pin one branch of the event handling. */
+std::vector<ServingCase>
+namedCases()
+{
+    TrafficConfig tc = smallConfig();
+    tc.durationSeconds = 0.2;
+    const std::vector<Request> stream = traffic::generateRequests(tc);
+    std::vector<ServingCase> out;
+    auto add = [&](const std::string &name, ServingConfig cfg,
+                   std::vector<Request> reqs) {
+        out.push_back({name, std::move(cfg), std::move(reqs)});
+    };
+    ServingConfig four;
+    four.nodes = {makeXenoServer(), makeXenoServer(), makeAetherServer(),
+                  makeAetherServer()};
+    four.placement = {0, 0, 1, 2};
+    four.sloUs = 300.0;
+
+    ServingConfig c = four;
+    c.crashes = {{0, 0.05, 0.1}};
+    add("rack-blind failover", c, stream);
+    c.nodeRack = {0, 0, 1, 1};
+    add("rack-aware failover", c, stream);
+    c.crashes = {{0, 0.05, 0.1}, {2, 0.05, 0.1}, {3, 0.05, 0.1}};
+    add("rack-aware, only a rack-mate survives", c, stream);
+    c = four;
+    c.crashes = {{0, 0.05, 0.05}, {1, 0.05, 0.05}, {2, 0.05, 0.05},
+                 {3, 0.05, 0.05}};
+    add("no survivor: wait out the outage", c, stream);
+    c = four;
+    c.crashes = {{1, 0.05, 0.1}};
+    c.migrations = {{0, 0.08, 1}, {1, 0.02, 0}, {2, 0.1, 2}};
+    add("migrations to a dead node and to the current node", c, stream);
+    c = four;
+    c.migrations = {{0, 0.05, 2}, {1, 0.05, 3}, {2, 0.06, 0}};
+    add("cold-start ramp after moves", c, stream);
+    c = four;
+    c.crashes = {{2, 0.06, 0.05}};
+    c.nodeRack = {0, 0, 1, 1};
+    c.brownouts = {{0.05, 0.12, 3}, {0.15, 0.18, 10}};
+    add("brownout shedding", c, stream);
+    // Everything after 0.15 is shed, so only shed requests can fire
+    // the late migration and crash.
+    c.brownouts = {{0.15, 1.0, 10}};
+    c.migrations = {{0, 0.17, 3}};
+    c.crashes = {{2, 0.18, 0.05}};
+    add("events fire while shedding", c, stream);
+    add("no requests", four, {});
+    add("one request", four, {stream.front()});
+    c = four;
+    c.placement = {1};
+    c.crashes = {{1, 0.05, 0.1}};
+    std::vector<Request> oneShard = stream;
+    for (Request &r : oneShard)
+        r.shard = 0;
+    add("one shard", c, oneShard);
+    return out;
+}
+
+TEST(Traffic, OrderedPassMatchesPerShardReference)
+{
+    std::vector<ServingCase> cases = namedCases();
+    for (uint64_t seed = 1; seed <= 50; ++seed)
+        cases.push_back(randomCase(seed));
+    const ServingProfile prof = ServingProfile::synthetic();
+    uint64_t failovers = 0, migrations = 0, shed = 0;
+    for (const ServingCase &c : cases) {
+        obs::StatRegistry wantReg, gotReg, auditReg;
+        PerShardReference ref(c.cfg, prof, wantReg, "serving");
+        const ServingResult want = ref.run(c.reqs);
+        ServingSim sim(c.cfg, prof, gotReg, "serving");
+        const ServingResult got = sim.run(c.reqs);
+        expectSameResult(want, got, c.name);
+        EXPECT_EQ(dumpRegistry(wantReg), dumpRegistry(gotReg)) << c.name;
+        {
+            // The audited run checks its invariants and changes nothing.
+            AuditGuard audit;
+            ServingSim audited(c.cfg, prof, auditReg, "serving");
+            audited.run(c.reqs);
+            EXPECT_EQ(dumpRegistry(gotReg), dumpRegistry(auditReg))
+                << c.name;
+        }
+        failovers += got.failovers;
+        migrations += got.migrations;
+        shed += got.shed;
+    }
+    // The seeded scenarios really exercise the event paths.
+    EXPECT_GT(failovers, 0u);
+    EXPECT_GT(migrations, 0u);
+    EXPECT_GT(shed, 0u);
+}
+
+TEST(Traffic, CalibrateAndGenerateMatchesSeparateCalls)
+{
+    TrafficConfig cfg = smallConfig();
+    const ServingProfile want = ServingProfile::calibrate();
+    for (const char *threads : {"1", "4"}) {
+        ThreadsGuard guard(threads);
+        std::vector<Request> reqs;
+        const ServingProfile got =
+            ServingProfile::calibrateAndGenerate(cfg, reqs);
+        EXPECT_EQ(want.getSeconds, got.getSeconds) << threads;
+        EXPECT_EQ(want.setSeconds, got.setSeconds) << threads;
+        EXPECT_EQ(want.migrateSeconds, got.migrateSeconds) << threads;
+        EXPECT_EQ(want.failoverSeconds, got.failoverSeconds) << threads;
+        expectSameStream(serialReference(cfg), reqs,
+                         std::string("T=") + threads);
+    }
+    // An empty stream still calibrates.
+    cfg.durationSeconds = 0.0;
+    std::vector<Request> none{Request{}};
+    const ServingProfile got =
+        ServingProfile::calibrateAndGenerate(cfg, none);
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(want.migrateSeconds, got.migrateSeconds);
+}
+
+// --- Exact frexp/ldexp ------------------------------------------------
+
+/** Bit-equal, or both NaN. */
+bool
+sameDouble(double a, double b)
+{
+    if (std::isnan(a) || std::isnan(b))
+        return std::isnan(a) && std::isnan(b);
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+void
+expectExactFrexp(double x)
+{
+    int wantE = 0, gotE = 0;
+    const double want = std::frexp(x, &wantE);
+    const double got = frexpExact(x, &gotE);
+    ASSERT_TRUE(sameDouble(want, got)) << "frexp(" << x << ")";
+    if (std::isfinite(x)) {
+        ASSERT_EQ(wantE, gotE) << "frexp(" << x << ") exponent";
+    }
+}
+
+void
+expectExactLdexp(double m, int e)
+{
+    ASSERT_TRUE(sameDouble(std::ldexp(m, e), ldexpExact(m, e)))
+        << "ldexp(" << m << ", " << e << ")";
+}
+
+TEST(FpBits, FrexpAndLdexpMatchLibmExactly)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double specials[] = {
+        0.0, -0.0, inf, -inf, std::nan(""), DBL_MAX, -DBL_MAX, DBL_MIN,
+        -DBL_MIN, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0, 1.0,
+        -1.0, 0.5, 0.75, std::nextafter(1.0, 0.0),
+        std::ldexp(1.0, 999), std::ldexp(1.0, 1000), std::ldexp(1.0, 1001),
+        std::ldexp(1.0, -999), std::ldexp(1.0, -1000),
+        std::ldexp(1.0, -1001), std::ldexp(1.5, 1023),
+        std::ldexp(1.5, -1022)};
+    for (double x : specials) {
+        expectExactFrexp(x);
+        for (int e : {-1100, -1075, -1074, -1023, -1022, -1001, -1000,
+                      -999, -1, 0, 1, 999, 1000, 1001, 1023, 1024, 1100})
+            expectExactLdexp(x, e);
+    }
+
+    // Arbitrary bit patterns reach every exponent, subnormals, inf and
+    // NaN; the ldexp exponents straddle both ends of the fast range.
+    Rng rng(2024);
+    for (int i = 0; i < 1000000; ++i) {
+        const double x = std::bit_cast<double>(rng.next());
+        expectExactFrexp(x);
+        const int e = static_cast<int>(rng.below(2201)) - 1100;
+        expectExactLdexp(x, e);
+        // Mantissas as the samplers produce them, far from the ends.
+        const double m = 0.5 + 0.5 * rng.uniform();
+        expectExactLdexp(m, e);
+    }
+}
+
+/** detLog/detExp/detPow as written against libm frexp/ldexp: the bit
+ *  path must reproduce them exactly. */
+double
+libmLog(double x)
+{
+    int e = 0;
+    double m = std::frexp(x, &e);
+    if (m < 0.70710678118654752440) {
+        m *= 2.0;
+        e -= 1;
+    }
+    const double z = (m - 1.0) / (m + 1.0);
+    const double z2 = z * z;
+    double term = z;
+    double sum = 0.0;
+    for (int k = 1; k <= 15; k += 2) {
+        sum += term / k;
+        term *= z2;
+    }
+    return 2.0 * sum + static_cast<double>(e) * 0.6931471805599453;
+}
+
+double
+libmExp(double x)
+{
+    const double ln2 = 0.6931471805599453;
+    const double k = std::floor(x / ln2 + 0.5);
+    const double r = x - k * ln2;
+    double term = 1.0;
+    double sum = 1.0;
+    for (int i = 1; i <= 14; ++i) {
+        term *= r / i;
+        sum += term;
+    }
+    return std::ldexp(sum, static_cast<int>(k));
+}
+
+double
+libmPow(double x, double y)
+{
+    if (y == 0.0 || x == 1.0)
+        return 1.0;
+    return libmExp(y * libmLog(x));
+}
+
+TEST(FpBits, DetMathBitEqualToLibmVersion)
+{
+    Rng rng(77);
+    for (int i = 0; i < 200000; ++i) {
+        // Log-uniform over the whole positive range, subnormals too.
+        const double x = std::exp(rng.uniform(-744.0, 709.0));
+        ASSERT_TRUE(sameDouble(libmLog(x), traffic::detLog(x))) << x;
+        const double y = rng.uniform(-745.0, 709.0);
+        ASSERT_TRUE(sameDouble(libmExp(y), traffic::detExp(y))) << y;
+        const double b = rng.uniform(1e-3, 100.0);
+        const double p = rng.uniform(-3.0, 3.0);
+        ASSERT_TRUE(sameDouble(libmPow(b, p), traffic::detPow(b, p)))
+            << b << "^" << p;
+    }
+    // x^100 for small x: the exponent leaves the fast range and the
+    // result underflows through the libm fallback into subnormals and
+    // zero.
+    int fallbacks = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const double x = std::exp(rng.uniform(-9.0, -6.0));
+        const double want = libmPow(x, 100.0);
+        ASSERT_TRUE(sameDouble(want, traffic::detPow(x, 100.0))) << x;
+        if (want < std::ldexp(1.0, -kFastExpLimit))
+            ++fallbacks;
+    }
+    EXPECT_GT(fallbacks, 1000);
 }
 
 } // namespace
