@@ -390,10 +390,10 @@ printRack(const ExperimentSpec &spec, const Options &opts,
     if (!spec.footer.empty())
         std::printf("\n%s\n", spec.footer.c_str());
 
-    // Rack perf JSON reports scheduler event throughput -- the gate
-    // tools/check_perf.py applies via --min-events-per-sec -- instead
-    // of interpreter MIPS: rack runs exercise ClusterSim, not the
-    // instruction-level machine.
+    // Rack perf JSON reports scheduler event throughput, which CI
+    // gates as a ratio to the stepping loop, instead of interpreter
+    // MIPS: rack runs exercise ClusterSim, not the instruction-level
+    // machine.
     const double wall = run.wallSeconds;
     return writeJsonFile(
         opts.perfJsonPath, "perf", spec, run.cells.size(), wall,
@@ -446,12 +446,10 @@ runFleet(const ExperimentSpec &spec, const Options &opts)
                                            spec.poolMachines)
                      : makeSustainedSet(seed, spec.jobsPerSet);
         ClusterSim::Config simCfg = cl.simConfig();
-        // A sustained set is an independent trial down to its link: its
-        // fault schedule comes from [faults] seed plus its job-set seed,
-        // so a set run alone still draws the same losses. Rack sets keep
-        // the conf's seed as is, which rack_faulty_finfet's recorded
-        // numbers rest on.
-        if (cl.hasFaults && !periodic)
+        // A set is an independent trial down to its link: its fault
+        // schedule comes from [faults] seed plus its job-set seed, so a
+        // set run alone still draws the same losses.
+        if (cl.hasFaults)
             simCfg.net.faults.seed += seed;
         auto sim = std::make_unique<ClusterSim>(cl.makePool(pool), table,
                                                 simCfg);

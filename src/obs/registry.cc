@@ -51,11 +51,6 @@ Stat::operator=(Stat &&other) noexcept
 
 // --- Counter / Gauge ----------------------------------------------------
 
-Counter::Counter(const std::string &name)
-{
-    StatRegistry::global().attach(name, *this);
-}
-
 Counter::Counter(StatRegistry &reg, const std::string &name)
 {
     reg.attach(name, *this);
@@ -65,11 +60,6 @@ void
 Counter::printValue(std::ostream &os, bool) const
 {
     os << v_;
-}
-
-Gauge::Gauge(const std::string &name)
-{
-    StatRegistry::global().attach(name, *this);
 }
 
 Gauge::Gauge(StatRegistry &reg, const std::string &name)
@@ -84,11 +74,6 @@ Gauge::printValue(std::ostream &os, bool) const
 }
 
 // --- Histogram ----------------------------------------------------------
-
-Histogram::Histogram(const std::string &name)
-{
-    StatRegistry::global().attach(name, *this);
-}
 
 Histogram::Histogram(StatRegistry &reg, const std::string &name)
 {
@@ -236,13 +221,6 @@ Histogram::printValue(std::ostream &os, bool json) const
 }
 
 // --- StatRegistry -------------------------------------------------------
-
-StatRegistry &
-StatRegistry::global()
-{
-    static StatRegistry reg;
-    return reg;
-}
 
 StatRegistry::~StatRegistry()
 {

@@ -11,11 +11,10 @@
  * only reset path; components keep no reset of their own), and
  * snapshot/diff them per measured region (ScopedStatEpoch).
  *
- * Registries are instantiable: components that may coexist (two
+ * Every stat has an owner registry: components that may coexist (two
  * ReplicatedOS containers, three ClusterSims) each own one, so names
- * never collide across instances; StatRegistry::global() serves
- * process-wide ad-hoc use. Registering two live stats under the same
- * name in the same registry is a bug and panics.
+ * never collide across instances. Registering two live stats under the
+ * same name in the same registry is a bug and panics.
  *
  * Stats are plain inline-incremented integers/doubles -- registering
  * adds zero cost to the hot path; the registry only holds pointers for
@@ -74,8 +73,6 @@ class Counter : public Stat
 {
   public:
     Counter() = default;
-    /** Register into the global registry (panics on collision). */
-    explicit Counter(const std::string &name);
     /** Register into `reg` (panics on collision). */
     Counter(StatRegistry &reg, const std::string &name);
 
@@ -104,7 +101,6 @@ class Gauge : public Stat
 {
   public:
     Gauge() = default;
-    explicit Gauge(const std::string &name);
     Gauge(StatRegistry &reg, const std::string &name);
 
     void set(double v) { v_ = v; }
@@ -133,7 +129,6 @@ class Histogram : public Stat
 {
   public:
     Histogram() = default;
-    explicit Histogram(const std::string &name);
     Histogram(StatRegistry &reg, const std::string &name);
 
     void add(double v);
@@ -178,9 +173,6 @@ class StatRegistry
     ~StatRegistry();
     StatRegistry(const StatRegistry &) = delete;
     StatRegistry &operator=(const StatRegistry &) = delete;
-
-    /** Process-wide default registry. */
-    static StatRegistry &global();
 
     /**
      * Register `s` under `name`. Panics if another live stat already

@@ -12,13 +12,14 @@
 # in OUT/NAME with the same relative output names, and fails unless
 # stdout and --stats-json are byte-identical to the first variant's.
 # With -DJSON=1 it also writes --json and compares it after dropping
-# the host fields wall_seconds, mips, events_per_sec and sweep_threads.
+# its host fields (host_fields.cmake).
 
 foreach(var RUNNER CONF OUT VARIANTS)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "env_invariant.cmake: ${var} not set")
     endif()
 endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/host_fields.cmake)
 
 set(args --stats-json stats.json)
 if(JSON)
@@ -48,9 +49,7 @@ foreach(spec ${specs})
     endif()
     if(JSON)
         file(READ ${dir}/perf.json text)
-        string(REGEX REPLACE
-               "\n *\"(wall_seconds|mips|events_per_sec|sweep_threads)\": [^\n]*"
-               "" rows_${name} "${text}")
+        drop_host_fields(rows_${name} "${text}")
     endif()
 endforeach()
 
