@@ -92,6 +92,12 @@ sweepThreads()
  * sweep is bit-identical to the sequential one: workers pull indices
  * from an atomic counter, write into their own slot, and the caller
  * prints from the ordered vector after the join.
+ *
+ * One exception keeps that guarantee: a cell may wait for work of a
+ * lower-index cell that itself never waits (traffic generation's
+ * producer cells). Workers claim indices in increasing order, so that
+ * cell is already running when the wait starts and always finishes;
+ * at one worker it has simply run first.
  */
 template <typename Fn>
 auto

@@ -6,6 +6,12 @@
 
 namespace xisa {
 
+JobProfileTable::JobProfileTable()
+{
+    for (std::array<double, kNumIsas> &row : base_)
+        row.fill(-1.0);
+}
+
 JobProfileTable
 JobProfileTable::calibrate()
 {
@@ -28,7 +34,7 @@ JobProfileTable::calibrate()
 
     JobProfileTable table;
     for (size_t w = 0; w < wls.size(); ++w)
-        table.base_[wls[w]] = secs[w];
+        table.base_[static_cast<size_t>(wls[w])] = secs[w];
     return table;
 }
 
@@ -44,7 +50,7 @@ JobProfileTable::synthetic()
         std::array<double, kNumIsas> secs{};
         secs[static_cast<int>(IsaId::Xeno64)] = x86;
         secs[static_cast<int>(IsaId::Aether64)] = arm;
-        table.base_[wl] = secs;
+        table.base_[static_cast<size_t>(wl)] = secs;
         ++i;
     }
     return table;
@@ -59,11 +65,12 @@ JobProfileTable::parallelEfficiency(int threads)
 double
 JobProfileTable::baseSeconds(WorkloadId wl, IsaId isa) const
 {
-    auto it = base_.find(wl);
-    if (it == base_.end())
+    const double secs =
+        base_[static_cast<size_t>(wl)][static_cast<size_t>(isa)];
+    if (secs < 0.0)
         fatal("JobProfileTable: workload '%s' not calibrated",
               workloadName(wl));
-    return it->second[static_cast<int>(isa)];
+    return secs;
 }
 
 double

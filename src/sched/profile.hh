@@ -15,7 +15,6 @@
 #define XISA_SCHED_PROFILE_HH
 
 #include <array>
-#include <map>
 
 #include "isa/isa.hh"
 #include "workload/workloads.hh"
@@ -63,8 +62,15 @@ class JobProfileTable
     /** Parallel efficiency model: speedup(t) = t / (1 + alpha (t-1)). */
     static double parallelEfficiency(int threads);
 
+    /** An uncalibrated table: every lookup fails until calibrate() or
+     *  synthetic() fills it. */
+    JobProfileTable();
+
   private:
-    std::map<WorkloadId, std::array<double, kNumIsas>> base_;
+    /** Serial class-A seconds, [WorkloadId][IsaId]; negative where not
+     *  calibrated. seconds() runs on every placement and migration of
+     *  the cluster simulator, so a lookup is two array indexes. */
+    std::array<std::array<double, kNumIsas>, kNumWorkloads> base_;
 };
 
 } // namespace xisa

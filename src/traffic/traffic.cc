@@ -1,6 +1,7 @@
 #include "traffic/traffic.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "check/audit.hh"
@@ -33,6 +34,48 @@ constexpr double kServiceScale = 1000.0;
 constexpr double kDisruptScale = 100.0;
 
 constexpr double kLn2 = 0.6931471805599453;
+
+/** The bits of a Double4's lanes. The kernels keep to what SSE2 does
+ *  two lanes at a time -- double arithmetic, 64-bit logical shifts and
+ *  bitwise ops -- and so compare lanes by the sign of a difference: a
+ *  32-byte vector compare has no SSE2 form, and GCC splits it into
+ *  scalar lanes. */
+typedef uint64_t Bits4 __attribute__((vector_size(32)));
+
+/** All ones in each lane where `d` is negative (sign bit set), zero
+ *  elsewhere. For finite doubles a and b, a < b exactly where a - b is
+ *  negative, unless a is -0.0 and b is +0.0: a difference rounds to
+ *  zero only when a == b, and rounding keeps the sign. */
+void
+negativeLanes(const Double4 &d, Bits4 &out)
+{
+    out = -(__builtin_bit_cast(Bits4, d) >> 63);
+}
+
+/** All ones in each lane where `d` is +-0, zero elsewhere: clearing
+ *  the sign leaves zero bits only there, and only zero bits wrap to a
+ *  set sign bit when one is subtracted. */
+void
+zeroLanes(const Double4 &d, Bits4 &out)
+{
+    const Bits4 magnitude =
+        __builtin_bit_cast(Bits4, d) & ~(uint64_t{1} << 63);
+    out = -((magnitude - 1) >> 63);
+}
+
+/** out = mask ? a : b, lane by lane and without branches. */
+void
+blend(const Bits4 &mask, const Double4 &a, const Double4 &b, Double4 &out)
+{
+    out = __builtin_bit_cast(Double4,
+                             (__builtin_bit_cast(Bits4, a) & mask) |
+                                 (__builtin_bit_cast(Bits4, b) & ~mask));
+}
+
+/** Adding this to a double of magnitude below 2^51 rounds it to an
+ *  integer j and leaves the sum's bits at those of the constant
+ *  plus j. */
+constexpr double kRoundMagic = 0x1.8p52;
 
 } // namespace
 
@@ -81,6 +124,103 @@ detPow(double x, double y)
     return detExp(y * detLog(x));
 }
 
+// The four-lane kernels repeat the scalar functions' operations lane
+// by lane, in the same order: each lane is the scalar result, bit for
+// bit, and the vector only supplies the independent work that fills
+// the divider.
+
+void
+detLog4(const Double4 &x, Double4 &out)
+{
+    // frexpExact's bit path. A group with any lane outside its range
+    // (zero, subnormal, inf, NaN, |e| > kFastExpLimit) takes the
+    // scalar function.
+    const Bits4 bits = __builtin_bit_cast(Bits4, x);
+    const Bits4 field = (bits >> 52) & 0x7ff;
+    for (int i = 0; i < 4; ++i) {
+        const int64_t e = static_cast<int64_t>(field[i]) - 1022;
+        if (e < -kFastExpLimit || e > kFastExpLimit) {
+            for (int j = 0; j < 4; ++j)
+                out[j] = detLog(x[j]);
+            return;
+        }
+    }
+    // The exponent as (2^52 + field) - (2^52 + 1022), both exact; the
+    // mantissa rebased to [0.5, 1).
+    Double4 e = __builtin_bit_cast(Double4, field | (uint64_t{0x433} << 52)) -
+                (0x1p52 + 1022.0);
+    Double4 m = __builtin_bit_cast(Double4,
+                                   (bits & ~(uint64_t{0x7ff} << 52)) |
+                                       (uint64_t{1022} << 52));
+    Bits4 low;
+    negativeLanes(m - 0.70710678118654752440, low);
+    blend(low, m * 2.0, m, m);
+    blend(low, e - 1.0, e, e);
+    const Double4 z = (m - 1.0) / (m + 1.0);
+    const Double4 z2 = z * z;
+    Double4 term = z;
+    Double4 sum = {};
+    for (int k = 1; k <= 15; k += 2) {
+        sum += term / static_cast<double>(k);
+        term *= z2;
+    }
+    out = 2.0 * sum + e * kLn2;
+}
+
+void
+detExp4(const Double4 &x, Double4 &out)
+{
+    // floor(y) in [-kFastExpLimit, kFastExpLimit] keeps ldexpExact on
+    // its bit path; NaN fails the test too.
+    const Double4 y = x / kLn2 + 0.5;
+    for (int i = 0; i < 4; ++i) {
+        if (!(y[i] >= -kFastExpLimit && y[i] < kFastExpLimit + 1)) {
+            for (int j = 0; j < 4; ++j)
+                out[j] = detExp(x[j]);
+            return;
+        }
+    }
+    // Exact floor: round to the nearest integer, then step down where
+    // that rounded up. y is never -0.0 (x / kLn2 + 0.5 rounds a zero
+    // sum to +0.0), so a zero floor is +0.0 as std::floor's is.
+    const Double4 one = {1.0, 1.0, 1.0, 1.0};
+    const Double4 zero = {};
+    Double4 k = (y + kRoundMagic) - kRoundMagic;
+    Bits4 up;
+    negativeLanes(y - k, up);
+    Double4 down;
+    blend(up, one, zero, down);
+    k -= down;
+    const Double4 r = x - k * kLn2;
+    Double4 term = one;
+    Double4 sum = one;
+    for (int i = 1; i <= 14; ++i) {
+        term *= r / static_cast<double>(i);
+        sum += term;
+    }
+    // ldexpExact's 2^k: the biased exponent k + 1023 sits in the low
+    // bits of k + (kRoundMagic + 1023); shift it into the exponent
+    // field.
+    const Bits4 biased =
+        __builtin_bit_cast(Bits4, k + (kRoundMagic + 1023.0));
+    out = sum * __builtin_bit_cast(Double4, biased << 52);
+}
+
+void
+detPow4(const Double4 &x, const Double4 &y, Double4 &out)
+{
+    // detPow's y == 0 or x == 1 (x - 1 is zero only at x == 1); read
+    // before `out`, which may alias an input, is written.
+    Bits4 yZero, xOne;
+    zeroLanes(y, yZero);
+    zeroLanes(x - 1.0, xOne);
+    Double4 l;
+    detLog4(x, l);
+    detExp4(y * l, out);
+    const Double4 one = {1.0, 1.0, 1.0, 1.0};
+    blend(yZero | xOne, one, out, out);
+}
+
 uint64_t
 mix64(uint64_t x)
 {
@@ -95,9 +235,20 @@ mix64(uint64_t x)
 ZipfGenerator::ZipfGenerator(int64_t n, double theta)
     : n_(n > 0 ? n : 1), theta_(theta)
 {
-    if (theta_ <= 0.0 || n_ <= 1)
+    if (!drawsOneUniform())
         return;
-    for (int64_t i = 1; i <= n_; ++i)
+    // Four terms at a time, summed in index order.
+    const Double4 thetas = {theta_, theta_, theta_, theta_};
+    Double4 x = {1.0, 2.0, 3.0, 4.0};
+    int64_t i = 1;
+    for (; i + 3 <= n_; i += 4, x += 4.0) {
+        Double4 p;
+        detPow4(x, thetas, p);
+        const Double4 inv = 1.0 / p;
+        for (int j = 0; j < 4; ++j)
+            zetan_ += inv[j];
+    }
+    for (; i <= n_; ++i)
         zetan_ += 1.0 / detPow(static_cast<double>(i), theta_);
     zetaHalf_ = detPow(0.5, theta_);
     const double zeta2 = 1.0 + zetaHalf_;
@@ -109,21 +260,52 @@ ZipfGenerator::ZipfGenerator(int64_t n, double theta)
 int64_t
 ZipfGenerator::sample(Rng &rng) const
 {
-    if (theta_ <= 0.0 || n_ <= 1)
+    if (!drawsOneUniform())
         return static_cast<int64_t>(
             rng.below(static_cast<uint64_t>(n_)));
     // Gray et al.'s rejection-free inverse: one uniform per sample.
-    const double u = rng.uniform();
+    return rank(rng.uniform());
+}
+
+int64_t
+ZipfGenerator::rank(double u) const
+{
     const double uz = u * zetan_;
     if (uz < 1.0)
         return 0;
     if (uz < 1.0 + zetaHalf_)
         return 1;
-    int64_t k = static_cast<int64_t>(
-        static_cast<double>(n_) *
-        detPow(eta_ * u - eta_ + 1.0, alpha_));
+    return tailRank(detPow(eta_ * u - eta_ + 1.0, alpha_));
+}
+
+void
+ZipfGenerator::rank4(const Double4 &u, int64_t (&out)[4]) const
+{
+    // Lanes that land on rank 0 or 1 never reach detPow in rank(); they
+    // feed it 1.0 instead of their base, which may lie outside its
+    // domain.
+    const Double4 one = {1.0, 1.0, 1.0, 1.0};
+    const Double4 alpha = {alpha_, alpha_, alpha_, alpha_};
+    const Double4 uz = u * zetan_;
+    Bits4 hot;
+    negativeLanes(uz - (1.0 + zetaHalf_), hot);
+    Double4 base;
+    blend(hot, one, eta_ * u - eta_ + 1.0, base);
+    Double4 pow;
+    detPow4(base, alpha, pow);
+    for (int i = 0; i < 4; ++i) {
+        const int64_t tail = tailRank(pow[i]);
+        out[i] = hot[i] ? int64_t{uz[i] >= 1.0} : tail;
+    }
+}
+
+int64_t
+ZipfGenerator::tailRank(double pow) const
+{
+    const int64_t k =
+        static_cast<int64_t>(static_cast<double>(n_) * pow);
     if (k < 0)
-        k = 0;
+        return 0;
     return k >= n_ ? n_ - 1 : k;
 }
 
@@ -132,7 +314,7 @@ ZipfGenerator::sample(Rng &rng) const
 void
 ZipfGenerator::skip(Rng &rng) const
 {
-    if (theta_ <= 0.0 || n_ <= 1)
+    if (!drawsOneUniform())
         rng.below(static_cast<uint64_t>(n_));
     else
         rng.next();
@@ -161,16 +343,30 @@ generate(const TrafficConfig &cfg, size_t lead, Lead runLead)
 
     // Request i consumes, in order: one uniform for its inter-arrival
     // gap, the Zipf draw for its rank, one uniform for GET/SET. Each
-    // batch first skips the Rng over those draws serially, recording
-    // its state at every chunk start; then fills the chunks in
-    // parallel (arrival holds the gap); then prefix-sums the gaps in
-    // order and stops at the first arrival >= duration. Every field is
-    // the expression the one-Rng loop computes, so the stream is
-    // identical to it draw for draw.
+    // batch is one sweep. Producer cell 0 skips the Rng over those
+    // draws, publishing its state at every chunk start as it gets
+    // there; producer cell 1 sizes the stream. The lead cells come
+    // next, then one cell per chunk, which waits for its start and
+    // the sized stream and fills its requests (arrival holds the gap).
+    // Workers claim cells in index order and producers never wait, so
+    // a chunk only ever waits on a cell that is already running. After
+    // the sweep a serial scan prefix-sums the gaps in order and stops
+    // at the first arrival >= duration. Every field is the expression
+    // the one-Rng loop computes, so the stream is identical to it draw
+    // for draw.
     Rng rng(cfg.seed);
     const ZipfGenerator zipf(cfg.keySpace, cfg.zipfSkew);
     const uint64_t keySpace = static_cast<uint64_t>(cfg.keySpace);
     const uint64_t shards = static_cast<uint64_t>(cfg.shards);
+    auto place = [&](Request &r, uint64_t rank, bool isGet) {
+        // Scramble the popularity rank so hot keys spread over the key
+        // space (and thus over shards) instead of clustering at 0.
+        r.key = static_cast<uint32_t>(mix64(rank) % keySpace);
+        r.shard = static_cast<uint16_t>(mix64(r.key) % shards);
+        r.isGet = isGet;
+        r.decile = static_cast<uint8_t>(rank * 10 / keySpace);
+    };
+    constexpr size_t kProducers = 2;
     double t = 0.0;
     for (;;) {
         // Size for the Poisson count of the rest of the run at mean +
@@ -180,42 +376,76 @@ generate(const TrafficConfig &cfg, size_t lead, Lead runLead)
         const size_t batch =
             static_cast<size_t>(mean + 8.0 * std::sqrt(mean)) + 1;
         const size_t first = out.size();
-        out.resize(first + batch);
-
         const size_t chunks = (batch + kRequestChunk - 1) / kRequestChunk;
-        std::vector<Rng> starts;
-        starts.reserve(chunks);
-        for (size_t i = 0; i < batch; ++i) {
-            if (i % kRequestChunk == 0)
-                starts.push_back(rng);
-            rng.next();
-            zipf.skip(rng);
-            rng.next();
-        }
+        std::vector<Rng> starts(chunks);
+        std::atomic<size_t> published{0};
+        std::atomic<bool> sized{false};
 
-        exp::runSweep(lead + chunks, [&](size_t cell) {
-            if (cell < lead) {
-                runLead(cell);
+        exp::runSweep(kProducers + lead + chunks, [&](size_t cell) {
+            if (cell == 0) {
+                for (size_t c = 0; c < chunks; ++c) {
+                    starts[c] = rng;
+                    published.store(c + 1);
+                    published.notify_all();
+                    const size_t n =
+                        std::min(kRequestChunk, batch - c * kRequestChunk);
+                    for (size_t i = 0; i < n; ++i) {
+                        rng.next();
+                        zipf.skip(rng);
+                        rng.next();
+                    }
+                }
                 return 0;
             }
-            const size_t c = cell - lead;
+            if (cell == 1) {
+                out.resize(first + batch);
+                sized.store(true);
+                sized.notify_all();
+                return 0;
+            }
+            if (cell < kProducers + lead) {
+                runLead(cell - kProducers);
+                return 0;
+            }
+            const size_t c = cell - kProducers - lead;
+            for (size_t p; (p = published.load()) <= c;)
+                published.wait(p);
+            sized.wait(false);
+
             Rng local = starts[c];
-            const size_t lo = first + c * kRequestChunk;
-            const size_t hi = std::min(lo + kRequestChunk, first + batch);
-            for (size_t i = lo; i < hi; ++i) {
+            size_t i = first + c * kRequestChunk;
+            const size_t hi = std::min(i + kRequestChunk, first + batch);
+            if (zipf.drawsOneUniform()) {
+                // Four requests at a time: their 12 uniforms in the
+                // one-Rng order, then the samplers four lanes wide.
+                for (; i + 4 <= hi; i += 4) {
+                    Double4 arrival, rankU;
+                    bool isGet[4];
+                    for (int j = 0; j < 4; ++j) {
+                        arrival[j] = local.uniform();
+                        rankU[j] = local.uniform();
+                        isGet[j] = local.uniform() < cfg.getFraction;
+                    }
+                    Double4 logs;
+                    detLog4(1.0 - arrival, logs);
+                    arrival = -logs / rate;
+                    int64_t ranks[4];
+                    zipf.rank4(rankU, ranks);
+                    for (int j = 0; j < 4; ++j) {
+                        out[i + j].arrival = arrival[j];
+                        place(out[i + j], static_cast<uint64_t>(ranks[j]),
+                              isGet[j]);
+                    }
+                }
+            }
+            for (; i < hi; ++i) {
                 Request &r = out[i];
                 // Poisson arrivals: exponential inter-arrival by
                 // inverse CDF.
                 r.arrival = -detLog(1.0 - local.uniform()) / rate;
-                // Scramble the popularity rank so hot keys spread over
-                // the key space (and thus over shards) instead of
-                // clustering at 0.
                 const uint64_t rank =
                     static_cast<uint64_t>(zipf.sample(local));
-                r.key = static_cast<uint32_t>(mix64(rank) % keySpace);
-                r.shard = static_cast<uint16_t>(mix64(r.key) % shards);
-                r.isGet = local.uniform() < cfg.getFraction;
-                r.decile = static_cast<uint8_t>(rank * 10 / keySpace);
+                place(r, rank, local.uniform() < cfg.getFraction);
             }
             return 0;
         });
@@ -496,7 +726,15 @@ ServingSim::run(const std::vector<Request> &reqs)
     // One pass in arrival order. Each shard reaches its requests in its
     // own order, so it evolves exactly as if simulated alone, and every
     // request is accounted for as it completes, in one fixed sequence.
+    // Request i lies in tenth i * 10 / n of the stream, which starts at
+    // ceil(d * n / 10): a cursor moves across those starts instead of
+    // dividing per request.
+    auto decileStart = [n](size_t d) { return (d * n + 9) / 10; };
+    size_t decile = 0;
+    size_t nextDecile = decileStart(1);
     for (size_t i = 0; i < n; ++i) {
+        while (i >= nextDecile)
+            nextDecile = decileStart(++decile + 1);
         const Request &r = reqs[i];
         if (r.shard >= shards)
             panic("ServingSim: request %zu names shard %d of %d", i,
@@ -513,7 +751,7 @@ ServingSim::run(const std::vector<Request> &reqs)
             while (sh.next < evs.size() && evs[sh.next].time <= r.arrival)
                 apply(sh, evs[sh.next++]);
             ++res.shed;
-            res.violationsByDecile[i * 10 / n] = res.sloViolations;
+            res.violationsByDecile[decile] = res.sloViolations;
             continue;
         }
         double done = 0.0, service = 0.0;
@@ -557,7 +795,7 @@ ServingSim::run(const std::vector<Request> &reqs)
         ++res.servedByNode[sh.node];
         if (firstCrash >= 0.0 && done > firstCrash)
             ++res.servedByNodeAfterCrash[sh.node];
-        res.violationsByDecile[i * 10 / n] = res.sloViolations;
+        res.violationsByDecile[decile] = res.sloViolations;
     }
     for (size_t d = 1; d < res.violationsByDecile.size(); ++d)
         res.violationsByDecile[d] = std::max(

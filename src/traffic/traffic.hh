@@ -18,11 +18,13 @@
  * static placement.
  *
  * Determinism is the contract. The stream is the one a sequential
- * loop over one Rng draws, built in three passes: a serial skip pass
- * advances the Rng over each request's draws and records its state at
- * fixed chunk starts, a runSweep-parallel fill pass computes every
- * request of a chunk from that state, and a serial scan prefix-sums
- * the inter-arrival gaps in order and cuts the stream at the duration.
+ * loop over one Rng draws. One runSweep builds it: producer cell 0
+ * advances the Rng over each request's draws and publishes its state
+ * at fixed chunk starts, producer cell 1 sizes the stream, and each
+ * chunk cell waits for both, then computes its requests from that
+ * state four at a time with the four-lane samplers below. A serial
+ * scan then prefix-sums the inter-arrival gaps in order and cuts the
+ * stream at the duration.
  * ServingSim then walks the stream once, serially, in arrival order:
  * each request advances only its own shard's state and is accounted
  * for -- histogram fill, SLO counters -- as it completes. Same seed
@@ -55,6 +57,24 @@ double detLog(double x);
 double detExp(double x);
 /** x^y for x > 0, via detExp(y * detLog(x)). */
 double detPow(double x, double y);
+
+/**
+ * Four doubles in one GCC vector. At the x86-64 baseline (SSE2) a
+ * value spans two xmm registers, and each lane operation is the IEEE
+ * operation the scalar code performs. Always passed by reference: a
+ * 32-byte vector passed by value changes ABI with AVX (-Wpsabi).
+ */
+typedef double Double4 __attribute__((vector_size(32)));
+
+/** detLog of each lane, bit-equal to the scalar function. A group
+ *  with any lane outside frexpExact's exponent-field path takes the
+ *  scalar function for all four. */
+void detLog4(const Double4 &x, Double4 &out);
+/** detExp of each lane, bit-equal; a group with any lane whose 2^k
+ *  falls outside ldexpExact's bit path takes the scalar function. */
+void detExp4(const Double4 &x, Double4 &out);
+/** detPow of each lane, bit-equal. */
+void detPow4(const Double4 &x, const Double4 &y, Double4 &out);
 
 /** SplitMix64 finalizer: the keyed hash for sharding and per-key
  *  service-cost spread. */
@@ -105,7 +125,20 @@ class ZipfGenerator
      *  rank. */
     void skip(Rng &rng) const;
 
+    /** True when sample() draws exactly one Rng::uniform(); otherwise
+     *  (theta = 0 or n = 1) it draws Rng::below(n), a variable count. */
+    bool drawsOneUniform() const { return !(theta_ <= 0.0 || n_ <= 1); }
+    /** The rank sample() returns when its uniform is `u`
+     *  (drawsOneUniform() only). */
+    int64_t rank(double u) const;
+    /** rank() of four uniforms at once, bit-equal. */
+    void rank4(const Double4 &u, int64_t (&out)[4]) const;
+
   private:
+    /** Rank of a uniform past the two hottest ranks, from its detPow
+     *  term. */
+    int64_t tailRank(double pow) const;
+
     int64_t n_ = 1;
     double theta_ = 0;
     double alpha_ = 0, zetan_ = 0, eta_ = 0, zetaHalf_ = 0;
@@ -149,9 +182,9 @@ struct ServingProfile {
      */
     static ServingProfile calibrate();
     /** calibrate() and generateRequests(cfg) (into `reqs`) in one
-     *  runSweep: the three calibration cells go first and the fill
-     *  chunks take up the workers they leave idle. Same results as the
-     *  two calls. */
+     *  runSweep: the three calibration cells follow the generator's
+     *  two producer cells, and the fill chunks take up the workers
+     *  they leave idle. Same results as the two calls. */
     static ServingProfile calibrateAndGenerate(const TrafficConfig &cfg,
                                                std::vector<Request> &reqs);
     /** Fixed plausible values (Xeno ~25 us GET, Aether ~3x); for unit

@@ -30,6 +30,7 @@
 #ifndef XISA_WORKLOAD_WORKLOADS_HH
 #define XISA_WORKLOAD_WORKLOADS_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,10 @@ enum class WorkloadId {
     CG, IS, FT, EP, MG, SP, BT,
     BZIP, VERUS, REDIS,
 };
+
+/** Number of WorkloadIds: REDIS is the last. */
+inline constexpr size_t kNumWorkloads =
+    static_cast<size_t>(WorkloadId::REDIS) + 1;
 
 /** NPB-style problem classes. */
 enum class ProblemClass { A, B, C };

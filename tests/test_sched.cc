@@ -15,6 +15,7 @@
 #include "sched/jobsets.hh"
 #include "sched/profile.hh"
 #include "sched/topology.hh"
+#include "util/logging.hh"
 
 namespace xisa {
 namespace {
@@ -45,6 +46,20 @@ TEST(JobProfile, ArmIsSlowerThanX86ForEveryWorkload)
         EXPECT_GT(arm, 1.5 * x86) << workloadName(wl);
         EXPECT_LT(arm, 8.0 * x86) << workloadName(wl);
     }
+}
+
+TEST(JobProfile, TableIndexedByWorkloadIdCoversEveryWorkload)
+{
+    // Base seconds sit in an array indexed by WorkloadId: the registry
+    // must list ids 0 .. kNumWorkloads-1, and an unfilled table refuses
+    // lookups.
+    const std::vector<WorkloadId> wls = allWorkloads();
+    ASSERT_EQ(wls.size(), kNumWorkloads);
+    for (size_t i = 0; i < wls.size(); ++i)
+        EXPECT_EQ(static_cast<size_t>(wls[i]), i);
+    EXPECT_THROW(JobProfileTable().baseSeconds(WorkloadId::REDIS,
+                                               IsaId::Aether64),
+                 FatalError);
 }
 
 TEST(Profile, CalibrateIsWorkerCountInvariant)

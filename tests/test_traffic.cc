@@ -203,9 +203,11 @@ class ThreadsGuard
 };
 
 /** The generator as one sequential loop over one Rng: the reference
- *  the parallel skip/fill/scan generator must reproduce exactly. */
+ *  the parallel skip/fill/scan generator must reproduce exactly. With
+ *  `swapDraws`, the second request of every four draws its GET/SET
+ *  uniform before its rank: a stream the generator must NOT match. */
 std::vector<Request>
-serialReference(const TrafficConfig &cfg)
+serialReference(const TrafficConfig &cfg, bool swapDraws = false)
 {
     std::vector<Request> out;
     const double rate = cfg.totalRate();
@@ -223,28 +225,44 @@ serialReference(const TrafficConfig &cfg)
             break;
         Request r;
         r.arrival = t;
+        const bool swap = swapDraws && out.size() % 4 == 1;
+        if (swap)
+            r.isGet = rng.uniform() < cfg.getFraction;
         const uint64_t rank = static_cast<uint64_t>(zipf.sample(rng));
         r.key = static_cast<uint32_t>(traffic::mix64(rank) % keySpace);
         r.shard = static_cast<uint16_t>(traffic::mix64(r.key) % shards);
-        r.isGet = rng.uniform() < cfg.getFraction;
+        if (!swap)
+            r.isGet = rng.uniform() < cfg.getFraction;
         r.decile = static_cast<uint8_t>(rank * 10 / keySpace);
         out.push_back(r);
     }
     return out;
 }
 
+/** "" if the streams are equal field for field, else the first
+ *  difference. */
+std::string
+streamMismatch(const std::vector<Request> &want,
+               const std::vector<Request> &got)
+{
+    if (want.size() != got.size())
+        return "size " + std::to_string(want.size()) + " vs " +
+               std::to_string(got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        const Request &w = want[i], &g = got[i];
+        if (w.arrival != g.arrival || w.key != g.key ||
+            w.shard != g.shard || w.isGet != g.isGet ||
+            w.decile != g.decile)
+            return "request #" + std::to_string(i);
+    }
+    return "";
+}
+
 void
 expectSameStream(const std::vector<Request> &want,
                  const std::vector<Request> &got, const std::string &what)
 {
-    ASSERT_EQ(want.size(), got.size()) << what;
-    for (size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(want[i].arrival, got[i].arrival) << what << " #" << i;
-        ASSERT_EQ(want[i].key, got[i].key) << what << " #" << i;
-        ASSERT_EQ(want[i].shard, got[i].shard) << what << " #" << i;
-        ASSERT_EQ(want[i].isGet, got[i].isGet) << what << " #" << i;
-        ASSERT_EQ(want[i].decile, got[i].decile) << what << " #" << i;
-    }
+    EXPECT_EQ(streamMismatch(want, got), "") << what;
 }
 
 TEST(Traffic, GenerateRequestsMatchesSerialReference)
@@ -293,7 +311,7 @@ TEST(Traffic, GenerateRequestsMatchesSerialReference)
         ++c.seed;
     cases.push_back({"refill", c});
 
-    for (const char *threads : {"1", "4"}) {
+    for (const char *threads : {"1", "2", "3", "4"}) {
         ThreadsGuard guard(threads);
         for (const Case &k : cases) {
             const std::vector<Request> want = serialReference(k.cfg);
@@ -304,6 +322,12 @@ TEST(Traffic, GenerateRequestsMatchesSerialReference)
                              k.name + " at T=" + threads);
         }
     }
+
+    // The comparison sees the draw order inside a group of four: a
+    // reference with two draws swapped does not match.
+    const std::vector<Request> got = traffic::generateRequests(smallConfig());
+    EXPECT_EQ(streamMismatch(serialReference(smallConfig()), got), "");
+    EXPECT_NE(streamMismatch(serialReference(smallConfig(), true), got), "");
 }
 
 TEST(Traffic, CalibrateIsWorkerCountInvariant)
@@ -805,6 +829,14 @@ namedCases()
     add("events fire while shedding", c, stream);
     add("no requests", four, {});
     add("one request", four, {stream.front()});
+    // Fewer requests than deciles, and a count that splits unevenly;
+    // the tight SLO makes the slow nodes' requests violations, so the
+    // decile counters differ.
+    c = four;
+    c.sloUs = 50.0;
+    for (size_t n : {7, 13})
+        add(std::to_string(n) + " requests", c,
+            {stream.begin(), stream.begin() + static_cast<long>(n)});
     c = four;
     c.placement = {1};
     c.crashes = {{1, 0.05, 0.1}};
@@ -1007,6 +1039,140 @@ TEST(FpBits, DetMathBitEqualToLibmVersion)
             ++fallbacks;
     }
     EXPECT_GT(fallbacks, 1000);
+}
+
+// --- Four-lane kernels ------------------------------------------------
+
+/** Checks each four-lane kernel against its scalar function, lane by
+ *  lane and bit for bit, on groups of `pick()` values. */
+template <typename Pick>
+void
+expectLanesMatchScalar(int groups, Pick pick, const std::string &what)
+{
+    using traffic::Double4;
+    for (int g = 0; g < groups; ++g) {
+        Double4 x, y;
+        for (int i = 0; i < 4; ++i) {
+            x[i] = pick();
+            y[i] = pick();
+        }
+        Double4 logs, exps, pows;
+        traffic::detLog4(x, logs);
+        traffic::detExp4(x, exps);
+        traffic::detPow4(x, y, pows);
+        for (int i = 0; i < 4; ++i) {
+            ASSERT_TRUE(sameDouble(traffic::detLog(x[i]), logs[i]))
+                << what << ": log(" << x[i] << ")";
+            ASSERT_TRUE(sameDouble(traffic::detExp(x[i]), exps[i]))
+                << what << ": exp(" << x[i] << ")";
+            ASSERT_TRUE(sameDouble(traffic::detPow(x[i], y[i]), pows[i]))
+                << what << ": " << x[i] << "^" << y[i];
+        }
+    }
+}
+
+TEST(Traffic, FourLaneKernelsMatchScalar)
+{
+    Rng rng(4);
+    // Every positive double (subnormals, inf, NaN included), and the
+    // range the samplers use; lanes off the fast paths send their
+    // group to the scalar functions.
+    expectLanesMatchScalar(
+        150000,
+        [&]() {
+            return std::bit_cast<double>(rng.next() >> 1);
+        },
+        "positive bits");
+    expectLanesMatchScalar(
+        150000, [&]() { return rng.uniform(-750.0, 750.0); },
+        "exp range");
+    expectLanesMatchScalar(
+        50000, [&]() { return rng.uniform(0.0, 2.0); }, "pow range");
+
+    // Groups that mix fast and fallback lanes: each lane is a special
+    // value (the exponent limits of frexpExact's and ldexpExact's bit
+    // paths and their neighbours, exact multiples and half-multiples
+    // of ln 2, 1.0, 0) half the time, a plain value otherwise.
+    const double ln2 = 0.6931471805599453;
+    std::vector<double> specials = {
+        0.0, -0.0, 1.0, -1.0, 0.5, 2.0, DBL_MIN, DBL_MAX,
+        std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0,
+        std::numeric_limits<double>::infinity(), std::nan(""),
+        std::nextafter(1.0, 0.0), std::nextafter(1.0, 2.0),
+        0.70710678118654752440, std::nextafter(0.70710678118654752440, 0.0),
+        std::nextafter(0.70710678118654752440, 1.0)};
+    for (int e : {kFastExpLimit - 1, kFastExpLimit, kFastExpLimit + 1,
+                  -kFastExpLimit - 1, -kFastExpLimit, -kFastExpLimit + 1}) {
+        const double p = std::ldexp(1.0, e);
+        for (double v : {p, std::nextafter(p, 0.0), std::nextafter(p, DBL_MAX)})
+            specials.push_back(v);
+    }
+    for (double k : {-1001.0, -1000.0, -999.0, -1.0, 0.0, 1.0, 999.0,
+                     1000.0, 1001.0, 1024.0, -1075.0}) {
+        for (double x : {k * ln2, (k - 0.5) * ln2, (k + 0.5) * ln2}) {
+            specials.push_back(x);
+            specials.push_back(std::nextafter(x, -DBL_MAX));
+            specials.push_back(std::nextafter(x, DBL_MAX));
+        }
+    }
+    expectLanesMatchScalar(
+        40000,
+        [&]() {
+            if (rng.next() & 1)
+                return specials[rng.below(specials.size())];
+            return rng.uniform(-2.0, 2.0);
+        },
+        "mixed groups");
+
+    // ZipfGenerator::rank4 against sample(): the same uniforms, the
+    // same ranks. n = 2 has only the two hottest ranks; the special
+    // uniforms sit on the rank-0/1 and rank-1/2 boundaries.
+    for (const auto &[n, theta] :
+         std::vector<std::pair<int64_t, double>>{{65536, 0.99},
+                                                  {4096, 0.5},
+                                                  {10, 0.2},
+                                                  {2, 0.9}}) {
+        const traffic::ZipfGenerator zipf(n, theta);
+        ASSERT_TRUE(zipf.drawsOneUniform());
+        Rng draws(static_cast<uint64_t>(n));
+        for (int g = 0; g < 100000; ++g) {
+            Rng ref = draws;
+            traffic::Double4 u;
+            for (int i = 0; i < 4; ++i)
+                u[i] = draws.uniform();
+            int64_t got[4];
+            zipf.rank4(u, got);
+            for (int i = 0; i < 4; ++i)
+                ASSERT_EQ(zipf.sample(ref), got[i])
+                    << "n=" << n << " theta=" << theta << " u=" << u[i];
+        }
+        std::vector<double> edges = {0.0, 1e-300, std::nextafter(1.0, 0.0)};
+        for (int64_t k = 0; k < 3; ++k) {
+            // Bisect for the smallest u with rank(u) > k.
+            double lo = 0.0, hi = std::nextafter(1.0, 0.0);
+            if (zipf.rank(lo) > k || zipf.rank(hi) <= k)
+                continue;
+            for (;;) {
+                const double mid = lo + (hi - lo) / 2;
+                if (mid <= lo || mid >= hi)
+                    break;
+                (zipf.rank(mid) > k ? hi : lo) = mid;
+            }
+            for (double v : {lo, hi, std::nextafter(hi, 1.0)})
+                edges.push_back(v);
+        }
+        for (size_t g = 0; g < 2000; ++g) {
+            traffic::Double4 u;
+            for (int i = 0; i < 4; ++i)
+                u[i] = rng.next() & 1 ? edges[rng.below(edges.size())]
+                                      : rng.uniform();
+            int64_t got[4];
+            zipf.rank4(u, got);
+            for (int i = 0; i < 4; ++i)
+                ASSERT_EQ(zipf.rank(u[i]), got[i])
+                    << "n=" << n << " theta=" << theta << " u=" << u[i];
+        }
+    }
 }
 
 } // namespace

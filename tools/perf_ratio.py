@@ -10,7 +10,9 @@ the medians of one host quantity: `wall`, the process wall time this
 script measures, or a host field of the run's --json report (`mips`,
 `events_per_sec`). It fails when median(A) / median(B) is above --max
 or below --min. Both commands run on this host in the same job, so the
-bound compares engines and builds, not machines.
+bound compares engines and builds, not machines. The report also gives
+the smallest and largest A/B ratio of one pair, to show how noisy the
+host was.
 
 The simulated numbers are not gated here: the goldens pin them exactly
 (tests/golden_check.cmake).
@@ -28,7 +30,7 @@ import sys
 import tempfile
 import time
 
-PAIRS = 7
+PAIRS = 11
 
 
 def die(message):
@@ -96,11 +98,13 @@ def main():
 
     med_a, med_b = (statistics.median(s) for s in samples)
     ratio = med_a / med_b
+    pair_ratios = [a / b for a, b in zip(*samples)]
     ok = ratio <= args.max if args.max is not None else ratio >= args.min
     limit = (f"<= {args.max}" if args.max is not None
              else f">= {args.min}")
     print(f"perf_ratio: {args.quantity} median A {med_a:.6g}, "
           f"B {med_b:.6g} over {PAIRS} pairs: A/B = {ratio:.3f} "
+          f"(per pair {min(pair_ratios):.3f}..{max(pair_ratios):.3f}) "
           f"(want {limit}) {'ok' if ok else 'FAIL'}")
     print(f"  A: {args.a}\n  B: {args.b}")
     return 0 if ok else 1
