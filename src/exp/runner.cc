@@ -580,11 +580,6 @@ runServing(const ExperimentSpec &spec, const Options &opts)
     tc.getFraction = t.getFraction;
     tc.shards = t.shards;
 
-    const double t0 = wallNow();
-    std::vector<traffic::Request> reqs;
-    const traffic::ServingProfile prof =
-        traffic::ServingProfile::calibrateAndGenerate(tc, reqs);
-
     traffic::ServingConfig base;
     for (const std::string &ref : spec.singleMachineRefs)
         base.nodes.push_back(spec.cluster.makeNode(ref));
@@ -594,6 +589,51 @@ runServing(const ExperimentSpec &spec, const Options &opts)
         base.crashes.push_back({cs.machine, cs.time * duration,
                                 spec.cluster.crashDownSeconds});
     applyFailures(spec, duration, base);
+
+    struct Row {
+        const char *scenario;
+        traffic::ServingResult r;
+    };
+    std::vector<Row> rows;
+    obs::StatRegistry reg;
+    // Stats detach when their sim dies, so the sims must outlive
+    // writeOutputs below or --stats-json dumps an empty registry.
+    std::vector<std::unique_ptr<traffic::ServingSim>> sims;
+    auto startSims = [&](const traffic::ServingProfile &prof) {
+        sims.push_back(std::make_unique<traffic::ServingSim>(
+            base, prof, reg, "serving.static"));
+        if (!t.migratePlan.empty()) {
+            traffic::ServingConfig cfg = base;
+            for (const ShardMigrationSpec &m : t.migratePlan)
+                cfg.migrations.push_back(
+                    {m.shard, m.time * duration, m.node});
+            sims.push_back(std::make_unique<traffic::ServingSim>(
+                cfg, prof, reg, "serving.migrate"));
+        }
+        for (const auto &sim : sims)
+            sim->begin();
+    };
+
+    // Both scenarios are served chunk by chunk inside the generator's
+    // sweep, overlapping the fill of the chunks after.
+    const double t0 = wallNow();
+    std::vector<traffic::Request> reqs;
+    const traffic::ServingProfile prof =
+        traffic::ServingProfile::calibrateAndGenerate(
+            tc, reqs,
+            [&](const traffic::ServingProfile &p,
+                const traffic::Request *chunk, size_t n) {
+                if (sims.empty())
+                    startSims(p);
+                for (const auto &sim : sims)
+                    sim->feed(chunk, n);
+            });
+    if (sims.empty()) // an empty stream
+        startSims(prof);
+    rows.push_back({"static", sims[0]->finish()});
+    if (sims.size() > 1)
+        rows.push_back({"migrate", sims[1]->finish()});
+    const double wallSeconds = wallNow() - t0;
 
     std::printf("\n%llu requests over %.3f s (%.0f req/s offered), "
                 "%d shards on %zu nodes, slo %.0f us\n",
@@ -616,29 +656,6 @@ runServing(const ExperimentSpec &spec, const Options &opts)
                     "shedding %d decile(s) while degraded\n",
                     spec.failures.size(), base.nodes.size(),
                     base.crashes.size(), spec.shedDeciles);
-
-    struct Row {
-        const char *scenario;
-        traffic::ServingResult r;
-    };
-    std::vector<Row> rows;
-    obs::StatRegistry reg;
-    // Stats detach when their sim dies, so the sims must outlive
-    // writeOutputs below or --stats-json dumps an empty registry.
-    std::vector<std::unique_ptr<traffic::ServingSim>> sims;
-    sims.push_back(std::make_unique<traffic::ServingSim>(
-        base, prof, reg, "serving.static"));
-    rows.push_back({"static", sims.back()->run(reqs)});
-    if (!t.migratePlan.empty()) {
-        traffic::ServingConfig cfg = base;
-        for (const ShardMigrationSpec &m : t.migratePlan)
-            cfg.migrations.push_back(
-                {m.shard, m.time * duration, m.node});
-        sims.push_back(std::make_unique<traffic::ServingSim>(
-            cfg, prof, reg, "serving.migrate"));
-        rows.push_back({"migrate", sims.back()->run(reqs)});
-    }
-    const double wallSeconds = wallNow() - t0;
 
     std::printf("\n%-8s %10s %10s %10s %10s %10s %10s %7s %5s %6s\n",
                 "scenario", "requests", "p50(us)", "p99(us)",

@@ -98,6 +98,12 @@ sweepThreads()
  * producer cells). Workers claim indices in increasing order, so that
  * cell is already running when the wait starts and always finishes;
  * at one worker it has simply run first.
+ *
+ * A cell may also do helping work for the caller that never blocks:
+ * work it takes under a mutex's try_lock, handing it to whichever
+ * cell holds the lock (traffic generation's drain). What the caller
+ * finally sees must not depend on which cell did it; work that no
+ * cell took is the caller's after the sweep.
  */
 template <typename Fn>
 auto

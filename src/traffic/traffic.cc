@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
+#include <optional>
 
 #include "check/audit.hh"
 #include "compiler/compile.hh"
@@ -324,11 +326,13 @@ namespace {
 
 /**
  * generateRequests(cfg), with `lead` cells of other work run first in
- * the fill sweep of its first batch, so they share its workers.
+ * the fill sweep of its first batch, so they share its workers, and
+ * each chunk of the finished stream handed to sink(chunk, n) in stream
+ * order -- serially, and only once every lead cell has run.
  */
-template <typename Lead>
+template <typename Lead, typename Sink>
 std::vector<Request>
-generate(const TrafficConfig &cfg, size_t lead, Lead runLead)
+generate(const TrafficConfig &cfg, size_t lead, Lead runLead, Sink sink)
 {
     std::vector<Request> out;
     const double rate = cfg.totalRate();
@@ -349,11 +353,9 @@ generate(const TrafficConfig &cfg, size_t lead, Lead runLead)
     // next, then one cell per chunk, which waits for its start and
     // the sized stream and fills its requests (arrival holds the gap).
     // Workers claim cells in index order and producers never wait, so
-    // a chunk only ever waits on a cell that is already running. After
-    // the sweep a serial scan prefix-sums the gaps in order and stops
-    // at the first arrival >= duration. Every field is the expression
-    // the one-Rng loop computes, so the stream is identical to it draw
-    // for draw.
+    // a chunk only ever waits on a cell that is already running. Every
+    // field is the expression the one-Rng loop computes, so the stream
+    // is identical to it draw for draw.
     Rng rng(cfg.seed);
     const ZipfGenerator zipf(cfg.keySpace, cfg.zipfSkew);
     const uint64_t keySpace = static_cast<uint64_t>(cfg.keySpace);
@@ -367,11 +369,16 @@ generate(const TrafficConfig &cfg, size_t lead, Lead runLead)
         r.decile = static_cast<uint8_t>(rank * 10 / keySpace);
     };
     constexpr size_t kProducers = 2;
+    // The drain's state: `draining` guards the running arrival `t`,
+    // `end` and the sink's calls.
+    std::mutex draining;
     double t = 0.0;
+    std::atomic<bool> cut{false};
+    size_t end = 0; ///< stream length once `cut`
     for (;;) {
         // Size for the Poisson count of the rest of the run at mean +
-        // 8 sigma; in the rare run where that is short, the scan below
-        // runs off the end and the loop sizes another batch.
+        // 8 sigma; in the rare run where that is short, the drain runs
+        // off the end and the loop sizes another batch.
         const double mean = rate * (cfg.durationSeconds - t);
         const size_t batch =
             static_cast<size_t>(mean + 8.0 * std::sqrt(mean)) + 1;
@@ -380,6 +387,53 @@ generate(const TrafficConfig &cfg, size_t lead, Lead runLead)
         std::vector<Rng> starts(chunks);
         std::atomic<size_t> published{0};
         std::atomic<bool> sized{false};
+        std::vector<std::atomic<bool>> filled(chunks);
+        std::atomic<size_t> leadLeft{lead};
+        std::atomic<size_t> nextServe{0};
+
+        // The drain: the one cell that wins the try-lock takes each
+        // consecutive filled chunk, prefix-sums its gaps into arrivals,
+        // stops at the first arrival >= duration and hands the chunk to
+        // the sink. No cell ever waits for the lock. A cell that loses
+        // it leaves its chunk to the holder, which looks again after
+        // unlocking; a chunk that still slips past is served by the
+        // caller's drain after the sweep. Everything the re-check reads
+        // is atomic.
+        auto ready = [&] {
+            const size_t c = nextServe.load();
+            return !cut.load() && leadLeft.load() == 0 && c < chunks &&
+                   filled[c].load();
+        };
+        auto serve = [&](size_t c) {
+            const size_t lo = first + c * kRequestChunk;
+            const size_t hi = std::min(lo + kRequestChunk, first + batch);
+            size_t i = lo;
+            for (; i < hi; ++i) {
+                t += out[i].arrival;
+                if (t >= cfg.durationSeconds)
+                    break;
+                out[i].arrival = t;
+            }
+            if (i > lo)
+                sink(&out[lo], i - lo);
+            if (i < hi) {
+                end = i;
+                cut.store(true);
+            }
+        };
+        auto drain = [&] {
+            while (ready()) {
+                // The sink runs under the lock: that is what keeps its
+                // calls serial and in stream order.
+                std::unique_lock lock(draining, std::try_to_lock);
+                if (!lock.owns_lock())
+                    return;
+                while (ready()) {
+                    serve(nextServe.load());
+                    nextServe.fetch_add(1);
+                }
+            }
+        };
 
         exp::runSweep(kProducers + lead + chunks, [&](size_t cell) {
             if (cell == 0) {
@@ -405,6 +459,8 @@ generate(const TrafficConfig &cfg, size_t lead, Lead runLead)
             }
             if (cell < kProducers + lead) {
                 runLead(cell - kProducers);
+                leadLeft.fetch_sub(1);
+                drain();
                 return 0;
             }
             const size_t c = cell - kProducers - lead;
@@ -447,17 +503,16 @@ generate(const TrafficConfig &cfg, size_t lead, Lead runLead)
                     static_cast<uint64_t>(zipf.sample(local));
                 place(r, rank, local.uniform() < cfg.getFraction);
             }
+            filled[c].store(true);
+            drain();
             return 0;
         });
         lead = 0;
 
-        for (size_t i = first; i < out.size(); ++i) {
-            t += out[i].arrival;
-            if (t >= cfg.durationSeconds) {
-                out.resize(i);
-                return out;
-            }
-            out[i].arrival = t;
+        drain();
+        if (cut.load()) {
+            out.resize(end);
+            return out;
         }
     }
 }
@@ -467,7 +522,7 @@ generate(const TrafficConfig &cfg, size_t lead, Lead runLead)
 std::vector<Request>
 generateRequests(const TrafficConfig &cfg)
 {
-    return generate(cfg, 0, [](size_t) {});
+    return generate(cfg, 0, [](size_t) {}, [](const Request *, size_t) {});
 }
 
 // --- ServingProfile -------------------------------------------------
@@ -501,9 +556,9 @@ ServingProfile::calibrate()
 
 ServingProfile
 ServingProfile::calibrateAndGenerate(const TrafficConfig &cfg,
-                                     std::vector<Request> &reqs)
+                                     std::vector<Request> &reqs,
+                                     const ChunkSink &sink)
 {
-    ServingProfile p = synthetic();
     Module mod = buildWorkload(WorkloadId::REDIS, ProblemClass::A);
     MultiIsaBinary bin = compileModule(mod);
     const double ops = 16384.0 * classScale(ProblemClass::A);
@@ -515,7 +570,25 @@ ServingProfile::calibrateAndGenerate(const TrafficConfig &cfg,
     // when moved mid-traffic.
     const NodeSpec presets[2] = {makeXenoServer(), makeAetherServer()};
     std::array<double, 3> secs{};
-    reqs = generate(cfg, secs.size(), [&](size_t c) {
+    auto profile = [&] {
+        ServingProfile p = synthetic();
+        for (size_t c = 0; c < 2; ++c) {
+            const double perOp = secs[c] / ops * kServiceScale;
+            const size_t i = static_cast<size_t>(presets[c].isa);
+            // The kernel interleaves GETs and SETs; split the measured
+            // average with a fixed ratio (SETs write slot + value).
+            p.getSeconds[i] = perOp * 0.85;
+            p.setSeconds[i] = perOp * 1.35;
+        }
+        if (secs[2] > 0.0)
+            p.migrateSeconds = secs[2] * kDisruptScale;
+        // Losing the node costs roughly an order of magnitude more than
+        // a planned move: failure detection, directory reconstruction,
+        // and journal replay on the survivor (hDSM crash recovery).
+        p.failoverSeconds = p.migrateSeconds * 10.0;
+        return p;
+    };
+    auto measure = [&](size_t c) {
         if (c < 2) {
             secs[c] = exp::runSingleNode(bin, presets[c]).makespanSeconds;
             return;
@@ -532,23 +605,18 @@ ServingProfile::calibrateAndGenerate(const TrafficConfig &cfg,
         os.run();
         for (const MigrationEvent &ev : os.migrations())
             secs[c] += ev.resumeTime - ev.trapTime;
-    });
-
-    for (size_t c = 0; c < 2; ++c) {
-        const double perOp = secs[c] / ops * kServiceScale;
-        const size_t i = static_cast<size_t>(presets[c].isa);
-        // The kernel interleaves GETs and SETs; split the measured
-        // average with a fixed ratio (SETs write slot + value).
-        p.getSeconds[i] = perOp * 0.85;
-        p.setSeconds[i] = perOp * 1.35;
-    }
-    if (secs[2] > 0.0)
-        p.migrateSeconds = secs[2] * kDisruptScale;
-    // Losing the node costs roughly an order of magnitude more than a
-    // planned move: failure detection, directory reconstruction, and
-    // journal replay on the survivor (the PR 5 recovery path).
-    p.failoverSeconds = p.migrateSeconds * 10.0;
-    return p;
+    };
+    // The drain calls this only after every calibration cell has run.
+    std::optional<ServingProfile> calibrated;
+    auto forward = [&](const Request *chunk, size_t n) {
+        if (!sink)
+            return;
+        if (!calibrated)
+            calibrated = profile();
+        sink(*calibrated, chunk, n);
+    };
+    reqs = generate(cfg, secs.size(), measure, forward);
+    return calibrated ? *calibrated : profile();
 }
 
 // --- ServingSim -----------------------------------------------------
@@ -582,7 +650,14 @@ ServingSim::ServingSim(ServingConfig cfg, ServingProfile prof,
 ServingResult
 ServingSim::run(const std::vector<Request> &reqs)
 {
-    const size_t n = reqs.size();
+    begin();
+    feed(reqs.data(), reqs.size());
+    return finish();
+}
+
+void
+ServingSim::begin()
+{
     const int shards = static_cast<int>(cfg_.placement.size());
     const int numNodes = static_cast<int>(cfg_.nodes.size());
     if (shards < 1 || numNodes < 1)
@@ -604,39 +679,26 @@ ServingSim::run(const std::vector<Request> &reqs)
     // events move. Its schedule is its migrations plus every crash
     // (crashes only bite if the shard sits on the node when it dies),
     // sorted by time with a deterministic tie-break.
-    struct Event {
-        double time = 0;
-        bool isCrash = false;
-        int node = 0;       ///< migration destination / crashed node
-        double down = 0;    ///< crash only
-    };
-    struct Shard {
-        int node = 0;
-        double clock = 0.0;
-        int coldLeft = 0;
-        std::vector<Event> events;
-        size_t next = 0; ///< first event not yet applied
-    };
-    std::vector<Shard> state(static_cast<size_t>(shards));
+    shards_.assign(static_cast<size_t>(shards), Shard{});
     for (int s = 0; s < shards; ++s)
-        state[s].node = cfg_.placement[s];
+        shards_[s].node = cfg_.placement[s];
     for (const ShardMigration &m : cfg_.migrations) {
         if (m.shard < 0 || m.shard >= shards || m.node < 0 ||
             m.node >= numNodes)
             panic("ServingSim: bad migration shard=%d node=%d",
                   m.shard, m.node);
-        state[m.shard].events.push_back({m.time, false, m.node, 0});
+        shards_[m.shard].events.push_back({m.time, false, m.node, 0});
     }
-    double firstCrash = -1.0;
+    firstCrash_ = -1.0;
     for (const NodeCrash &c : cfg_.crashes) {
         if (c.node < 0 || c.node >= numNodes)
             panic("ServingSim: crash references node %d", c.node);
-        if (firstCrash < 0.0 || c.time < firstCrash)
-            firstCrash = c.time;
-        for (Shard &sh : state)
+        if (firstCrash_ < 0.0 || c.time < firstCrash_)
+            firstCrash_ = c.time;
+        for (Shard &sh : shards_)
             sh.events.push_back({c.time, true, c.node, c.downSeconds});
     }
-    for (Shard &sh : state)
+    for (Shard &sh : shards_)
         std::stable_sort(sh.events.begin(), sh.events.end(),
                          [](const Event &a, const Event &b) {
                              if (a.time != b.time)
@@ -646,6 +708,18 @@ ServingSim::run(const std::vector<Request> &reqs)
                              return a.node < b.node;
                          });
 
+    fed_ = 0;
+    violationAt_.clear();
+    res_ = ServingResult{};
+    res_.servedByNode.assign(cfg_.nodes.size(), 0);
+    res_.servedByNodeAfterCrash.assign(cfg_.nodes.size(), 0);
+}
+
+void
+ServingSim::feed(const Request *reqs, size_t n)
+{
+    const int shards = static_cast<int>(shards_.size());
+    const int numNodes = static_cast<int>(cfg_.nodes.size());
     auto alive = [&](int nd, double t) {
         for (const NodeCrash &c : cfg_.crashes)
             if (c.node == nd && t >= c.time &&
@@ -662,11 +736,7 @@ ServingSim::run(const std::vector<Request> &reqs)
                 deciles = std::max(deciles, w.shedDeciles);
         return deciles;
     };
-
-    ServingResult res;
-    res.requests = n;
-    res.servedByNode.assign(cfg_.nodes.size(), 0);
-    res.servedByNodeAfterCrash.assign(cfg_.nodes.size(), 0);
+    ServingResult &res = res_;
     auto apply = [&](Shard &sh, const Event &ev) {
         if (ev.isCrash) {
             if (ev.node != sh.node)
@@ -723,23 +793,16 @@ ServingSim::run(const std::vector<Request> &reqs)
         return base;
     };
 
-    // One pass in arrival order. Each shard reaches its requests in its
-    // own order, so it evolves exactly as if simulated alone, and every
-    // request is accounted for as it completes, in one fixed sequence.
-    // Request i lies in tenth i * 10 / n of the stream, which starts at
-    // ceil(d * n / 10): a cursor moves across those starts instead of
-    // dividing per request.
-    auto decileStart = [n](size_t d) { return (d * n + 9) / 10; };
-    size_t decile = 0;
-    size_t nextDecile = decileStart(1);
-    for (size_t i = 0; i < n; ++i) {
-        while (i >= nextDecile)
-            nextDecile = decileStart(++decile + 1);
-        const Request &r = reqs[i];
+    // Each shard reaches its requests in its own order, so it evolves
+    // exactly as if simulated alone, and every request is accounted for
+    // as it completes, in one fixed sequence.
+    for (size_t k = 0; k < n; ++k) {
+        const size_t i = fed_ + k;
+        const Request &r = reqs[k];
         if (r.shard >= shards)
             panic("ServingSim: request %zu names shard %d of %d", i,
                   static_cast<int>(r.shard), shards);
-        Shard &sh = state[r.shard];
+        Shard &sh = shards_[r.shard];
         const std::vector<Event> &evs = sh.events;
         const int shedding = shedDeciles(r.arrival);
         if (shedding > 0 && static_cast<int>(r.decile) >= 10 - shedding) {
@@ -751,7 +814,6 @@ ServingSim::run(const std::vector<Request> &reqs)
             while (sh.next < evs.size() && evs[sh.next].time <= r.arrival)
                 apply(sh, evs[sh.next++]);
             ++res.shed;
-            res.violationsByDecile[decile] = res.sloViolations;
             continue;
         }
         double done = 0.0, service = 0.0;
@@ -788,18 +850,35 @@ ServingSim::run(const std::vector<Request> &reqs)
         latencyUs_.add(us);
         ++(r.isGet ? res.gets : res.sets);
         if (us > cfg_.sloUs) {
-            ++res.sloViolations;
+            violationAt_.push_back(i);
             if (shedding > 0)
                 ++res.violationsDegraded;
         }
         ++res.servedByNode[sh.node];
-        if (firstCrash >= 0.0 && done > firstCrash)
+        if (firstCrash_ >= 0.0 && done > firstCrash_)
             ++res.servedByNodeAfterCrash[sh.node];
-        res.violationsByDecile[decile] = res.sloViolations;
     }
-    for (size_t d = 1; d < res.violationsByDecile.size(); ++d)
-        res.violationsByDecile[d] = std::max(
-            res.violationsByDecile[d], res.violationsByDecile[d - 1]);
+    fed_ += n;
+}
+
+ServingResult
+ServingSim::finish()
+{
+    ServingResult res = std::move(res_);
+    const size_t n = fed_;
+    res.requests = n;
+    res.sloViolations = violationAt_.size();
+    // Tenth d of the stream ends where tenth d + 1 starts, at
+    // ceil((d + 1) * n / 10); an empty tenth (n < 10) repeats the
+    // count before it.
+    auto v = violationAt_.begin();
+    for (size_t d = 0; d < res.violationsByDecile.size(); ++d) {
+        const size_t end = ((d + 1) * n + 9) / 10;
+        while (v != violationAt_.end() && *v < end)
+            ++v;
+        res.violationsByDecile[d] =
+            static_cast<uint64_t>(v - violationAt_.begin());
+    }
     requests_.add(n);
     gets_.add(res.gets);
     sets_.add(res.sets);

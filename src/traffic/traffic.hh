@@ -22,12 +22,16 @@
  * advances the Rng over each request's draws and publishes its state
  * at fixed chunk starts, producer cell 1 sizes the stream, and each
  * chunk cell waits for both, then computes its requests from that
- * state four at a time with the four-lane samplers below. A serial
- * scan then prefix-sums the inter-arrival gaps in order and cuts the
- * stream at the duration.
- * ServingSim then walks the stream once, serially, in arrival order:
- * each request advances only its own shard's state and is accounted
- * for -- histogram fill, SLO counters -- as it completes. Same seed
+ * state four at a time with the four-lane samplers below. Inside the
+ * same sweep a drain takes the filled chunks in stream order:
+ * whichever cell wins a try-lock prefix-sums each ready chunk's
+ * inter-arrival gaps, cuts the stream at the duration and hands the
+ * chunk to an optional sink; the caller drains what is left after
+ * the sweep.
+ * ServingSim walks the stream once, serially, in arrival order --
+ * whole, or chunk by chunk as the drain hands it over: each request
+ * advances only its own shard's state and is accounted for --
+ * histogram fill, SLO counters -- as it completes. Same seed
  * therefore means byte-identical stats output regardless of
  * XISA_BENCH_THREADS. The few transcendentals involved (exp/log/pow
  * for the samplers) are implemented here from IEEE-exact primitives
@@ -41,6 +45,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -181,12 +186,22 @@ struct ServingProfile {
      * simulation); one-time cost of a few interpreter runs.
      */
     static ServingProfile calibrate();
+    /** Receives the stream chunk by chunk: the calibrated profile and
+     *  `n` requests with their final arrivals. */
+    using ChunkSink = std::function<void(const ServingProfile &,
+                                         const Request *, size_t n)>;
+
     /** calibrate() and generateRequests(cfg) (into `reqs`) in one
      *  runSweep: the three calibration cells follow the generator's
      *  two producer cells, and the fill chunks take up the workers
-     *  they leave idle. Same results as the two calls. */
+     *  they leave idle. Same results as the two calls. Once all three
+     *  calibration cells are done, `sink` (if set) is called with each
+     *  chunk of the stream as the sweep completes it: serially, in
+     *  stream order, possibly on a sweep worker; the chunks together
+     *  are `reqs`. */
     static ServingProfile calibrateAndGenerate(const TrafficConfig &cfg,
-                                               std::vector<Request> &reqs);
+                                               std::vector<Request> &reqs,
+                                               const ChunkSink &sink = {});
     /** Fixed plausible values (Xeno ~25 us GET, Aether ~3x); for unit
      *  tests that should not pay for calibration. */
     static ServingProfile synthetic();
@@ -267,10 +282,15 @@ struct ServingResult {
  * Replays a request stream against a ServingConfig in one ordered pass.
  * A shard is a single-server FIFO that only its own requests and events
  * move, so meeting each shard's requests in arrival order simulates it
- * exactly as if it ran alone. Stats register on `reg` under `prefix`
- * (e.g. "serving.static"). Under XISA_AUDIT=1, run() also checks that no
- * shard clock runs backwards, that every latency covers its service
- * time, and that served + shed and the per-node counts add up.
+ * exactly as if it ran alone. The pass can be fed in pieces: begin(),
+ * then feed() each consecutive run of the stream, then finish(); run()
+ * is those three calls over the whole stream. Only the per-decile
+ * violation counts need the stream's length, so feed() records the
+ * index of each violation and finish() counts them per tenth. Stats
+ * register on `reg` under `prefix` (e.g. "serving.static"). Under
+ * XISA_AUDIT=1 the pass also checks that no shard clock runs
+ * backwards, that every latency covers its service time, and that
+ * served + shed and the per-node counts add up.
  */
 class ServingSim
 {
@@ -280,13 +300,43 @@ class ServingSim
 
     ServingResult run(const std::vector<Request> &reqs);
 
+    /** Validate the config and reset the pass to the stream's start. */
+    void begin();
+    /** Serve the next `n` requests of the stream, in arrival order. */
+    void feed(const Request *reqs, size_t n);
+    /** End the pass: fill in the per-decile and latency results and add
+     *  the counts to the registered stats. */
+    ServingResult finish();
+
     const ServingConfig &config() const { return cfg_; }
 
   private:
+    /** A migration or crash in one shard's schedule. */
+    struct Event {
+        double time = 0;
+        bool isCrash = false;
+        int node = 0;    ///< migration destination / crashed node
+        double down = 0; ///< crash only
+    };
+    struct Shard {
+        int node = 0;
+        double clock = 0.0;
+        int coldLeft = 0;
+        std::vector<Event> events;
+        size_t next = 0; ///< first event not yet applied
+    };
+
     ServingConfig cfg_;
     ServingProfile prof_;
     /** XISA_AUDIT: per-request and end-of-run bookkeeping checks. */
     bool auditing_ = false;
+    /** State of the pass in progress. */
+    std::vector<Shard> shards_;
+    double firstCrash_ = -1.0;
+    size_t fed_ = 0; ///< requests served so far
+    /** Stream index of every SLO violation, ascending. */
+    std::vector<size_t> violationAt_;
+    ServingResult res_;
     obs::Counter requests_, gets_, sets_;
     obs::Counter sloViolations_, migrations_, failovers_;
     /** Attached only when brownout windows are configured, so a

@@ -5,12 +5,14 @@
  * generated stream (Poisson arrivals, Zipf popularity, GET/SET mix,
  * key-hash sharding), and the serving simulator's core contracts --
  * byte-determinism across worker counts, the ordered pass matching the
- * per-shard algorithm it replaced, live migration relieving an
- * overloaded shard, and result fields agreeing with the registered
- * counters.
+ * per-shard algorithm it replaced, the pass fed in chunks matching it
+ * fed whole, the generator's sink seeing the stream in order, live
+ * migration relieving an overloaded shard, and result fields agreeing
+ * with the registered counters.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -903,6 +905,107 @@ TEST(Traffic, CalibrateAndGenerateMatchesSeparateCalls)
         ServingProfile::calibrateAndGenerate(cfg, none);
     EXPECT_TRUE(none.empty());
     EXPECT_EQ(want.migrateSeconds, got.migrateSeconds);
+}
+
+/** Feed `reqs` to a begun `sim` in random consecutive pieces -- empty,
+ *  single-request and longer ones -- and finish the pass. */
+ServingResult
+feedInChunks(ServingSim &sim, const std::vector<Request> &reqs, Rng &rng)
+{
+    sim.begin();
+    size_t at = 0;
+    while (at < reqs.size()) {
+        size_t len = 0;
+        switch (rng.below(4)) {
+        case 0:
+            break;
+        case 1:
+            len = 1;
+            break;
+        default:
+            len = 2 + rng.below(std::max<size_t>(reqs.size() / 3, 1));
+        }
+        len = std::min(len, reqs.size() - at);
+        sim.feed(reqs.data() + at, len);
+        at += len;
+    }
+    sim.feed(reqs.data() + at, 0);
+    return sim.finish();
+}
+
+TEST(Traffic, StreamedPassMatchesRun)
+{
+    std::vector<ServingCase> cases = namedCases();
+    // Crash, migration and brownout over streams around the ten
+    // deciles; the tight SLO makes the slow nodes' requests violate.
+    const std::vector<Request> stream = cases.front().reqs;
+    ServingConfig c;
+    c.nodes = {makeXenoServer(), makeXenoServer(), makeAetherServer(),
+               makeAetherServer()};
+    c.placement = {0, 0, 1, 2};
+    c.sloUs = 50.0;
+    c.crashes = {{2, stream[3].arrival, 0.05}};
+    c.migrations = {{0, stream[5].arrival, 3}};
+    c.brownouts = {{stream[2].arrival, stream[8].arrival, 5}};
+    for (size_t n : {0, 1, 7, 9, 10, 11, 13})
+        cases.push_back({std::to_string(n) + " requests, every event", c,
+                         {stream.begin(), stream.begin() +
+                                              static_cast<long>(n)}});
+    for (uint64_t seed = 1; seed <= 50; ++seed)
+        cases.push_back(randomCase(seed));
+
+    const ServingProfile prof = ServingProfile::synthetic();
+    Rng rng(2024);
+    for (const ServingCase &k : cases) {
+        obs::StatRegistry wantReg, gotReg, refReg;
+        ServingSim whole(k.cfg, prof, wantReg, "serving");
+        const ServingResult want = whole.run(k.reqs);
+        ServingSim pieces(k.cfg, prof, gotReg, "serving");
+        const ServingResult got = feedInChunks(pieces, k.reqs, rng);
+        expectSameResult(want, got, k.name);
+        EXPECT_EQ(dumpRegistry(wantReg), dumpRegistry(gotReg)) << k.name;
+        // The deciles finish() counts from the violation record are
+        // the per-request i * 10 / n buckets of the reference.
+        PerShardReference ref(k.cfg, prof, refReg, "serving");
+        EXPECT_EQ(ref.run(k.reqs).violationsByDecile,
+                  got.violationsByDecile)
+            << k.name;
+    }
+}
+
+TEST(Traffic, CalibrateAndGenerateSinkSeesTheStream)
+{
+    TrafficConfig cfg = smallConfig();
+    cfg.durationSeconds = 4.0; // ~80k requests: several chunks
+    const std::vector<Request> want = traffic::generateRequests(cfg);
+    ASSERT_GT(want.size(), 3 * traffic::kRequestChunk);
+    for (const char *threads : {"1", "2", "3", "4"}) {
+        ThreadsGuard guard(threads);
+        std::vector<Request> seen, reqs;
+        std::vector<ServingProfile> profiles;
+        std::atomic<int> inside{0};
+        bool overlapped = false;
+        const ServingProfile prof = ServingProfile::calibrateAndGenerate(
+            cfg, reqs,
+            [&](const ServingProfile &p, const Request *chunk, size_t n) {
+                if (inside.fetch_add(1) != 0)
+                    overlapped = true;
+                seen.insert(seen.end(), chunk, chunk + n);
+                profiles.push_back(p);
+                inside.fetch_sub(1);
+            });
+        const std::string what = std::string("T=") + threads;
+        EXPECT_FALSE(overlapped) << what;
+        EXPECT_GE(profiles.size(), 4u) << what;
+        EXPECT_EQ(streamMismatch(want, seen), "") << what;
+        EXPECT_EQ(streamMismatch(want, reqs), "") << what;
+        for (const ServingProfile &p : profiles) {
+            EXPECT_EQ(p.getSeconds, prof.getSeconds) << what;
+            EXPECT_EQ(p.setSeconds, prof.setSeconds) << what;
+            EXPECT_EQ(p.migrateSeconds, prof.migrateSeconds) << what;
+            EXPECT_EQ(p.failoverSeconds, prof.failoverSeconds) << what;
+        }
+    }
 }
 
 // --- Exact frexp/ldexp ------------------------------------------------

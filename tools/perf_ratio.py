@@ -5,7 +5,8 @@
 
 Runs CMD_A and CMD_B (each an `xisa_exp` command line, optionally led
 by VAR=VALUE environment assignments) in alternating order for PAIRS
-pairs, every run at XISA_QUICK=1 and XISA_BENCH_THREADS=1, and compares
+pairs, every run at XISA_QUICK=1 and XISA_BENCH_THREADS=1 unless its
+own assignments set them otherwise, and compares
 the medians of one host quantity: `wall`, the process wall time this
 script measures, or a host field of the run's --json report (`mips`,
 `events_per_sec`). It fails when median(A) / median(B) is above --max
@@ -53,8 +54,8 @@ def parse_command(text):
 def measure(command, quantity, json_path):
     """One run of `command`: its wall seconds or its --json field."""
     env_over, argv = command
-    env = {**os.environ, **env_over,
-           "XISA_QUICK": "1", "XISA_BENCH_THREADS": "1"}
+    env = {**os.environ, "XISA_QUICK": "1", "XISA_BENCH_THREADS": "1",
+           **env_over}
     if quantity != "wall":
         argv = argv[:1] + ["--json", json_path] + argv[1:]
     t0 = time.perf_counter()
