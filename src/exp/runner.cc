@@ -147,9 +147,16 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
         }
     }
 
+    // A cell's work grows with its class's problem size, so the
+    // largest classes are claimed first and no class-C cell is left
+    // to run alone at the end.
+    std::vector<double> work;
+    for (const Cell &c : cells)
+        work.push_back(classScale(c.cls));
     const double t0 = wallNow();
-    std::vector<CellResult> results =
-        runSweep(cells.size(), [&](size_t i) {
+    std::vector<CellResult> results = runSweep(
+        cells.size(),
+        [&](size_t i) {
             const Cell &c = cells[i];
             const Compiled &bin = *compiled[cellBin[i]];
             CellResult r;
@@ -163,7 +170,8 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
             r.instrs = rb.totalInstrs + ri.totalInstrs;
             r.hostSeconds = wallNow() - c0;
             return r;
-        });
+        },
+        longestFirst(work));
     const double wallSeconds = wallNow() - t0;
 
     // Ordered merge: same stdout as the sequential harness.

@@ -8,16 +8,19 @@
 #ifndef XISA_EXP_SWEEP_HH
 #define XISA_EXP_SWEEP_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "machine/node.hh"
 #include "obs/trace.hh"
 #include "os/os.hh"
+#include "util/logging.hh"
 
 namespace xisa::exp {
 
@@ -89,15 +92,21 @@ sweepThreads()
  * ReplicatedOS / ClusterSim (and thus its own StatRegistry), and derive
  * any seed deterministically from `i` -- never from shared state. Under
  * those rules the schedule cannot affect the results, so a parallel
- * sweep is bit-identical to the sequential one: workers pull indices
- * from an atomic counter, write into their own slot, and the caller
- * prints from the ordered vector after the join.
+ * sweep is bit-identical to the sequential one: workers pull claims
+ * from an atomic counter, write into their cell's own slot, and the
+ * caller prints from the ordered vector after the join.
+ *
+ * `order`, when given, is the claim order: a permutation of 0..n-1,
+ * and the k-th claim runs cell order[k]. Callers whose cells differ
+ * widely in cost pass longestFirst() of a cost estimate, so the
+ * longest cell does not start last and run alone. Results stay indexed
+ * by cell whatever the order; an empty order claims 0..n-1.
  *
  * One exception keeps that guarantee: a cell may wait for work of a
- * lower-index cell that itself never waits (traffic generation's
- * producer cells). Workers claim indices in increasing order, so that
- * cell is already running when the wait starts and always finishes;
- * at one worker it has simply run first.
+ * cell claimed before it that itself never waits (traffic generation's
+ * producer cells). Workers claim in order, so that cell is already
+ * running when the wait starts and always finishes; at one worker it
+ * has simply run first.
  *
  * A cell may also do helping work for the caller that never blocks:
  * work it takes under a mutex's try_lock, handing it to whichever
@@ -107,16 +116,27 @@ sweepThreads()
  */
 template <typename Fn>
 auto
-runSweep(size_t n, Fn fn) -> std::vector<decltype(fn(size_t{0}))>
+runSweep(size_t n, Fn fn, const std::vector<size_t> &order = {})
+    -> std::vector<decltype(fn(size_t{0}))>
 {
+    if (!order.empty()) {
+        XISA_CHECK(order.size() == n, "claim order has the wrong length");
+        std::vector<bool> seen(n);
+        for (size_t i : order) {
+            XISA_CHECK(i < n && !seen[i], "claim order is no permutation");
+            seen[i] = true;
+        }
+    }
+    auto cell = [&](size_t k) { return order.empty() ? k : order[k]; };
+
     using R = decltype(fn(size_t{0}));
     std::vector<R> results(n);
     size_t workers = static_cast<size_t>(sweepThreads());
     if (workers > n)
         workers = n ? n : 1;
     if (workers <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            results[i] = fn(i);
+        for (size_t k = 0; k < n; ++k)
+            results[cell(k)] = fn(cell(k));
         return results;
     }
     std::atomic<size_t> next{0};
@@ -124,14 +144,29 @@ runSweep(size_t n, Fn fn) -> std::vector<decltype(fn(size_t{0}))>
     pool.reserve(workers);
     for (size_t w = 0; w < workers; ++w) {
         pool.emplace_back([&] {
-            for (size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1))
-                results[i] = fn(i);
+            for (size_t k = next.fetch_add(1); k < n;
+                 k = next.fetch_add(1))
+                results[cell(k)] = fn(cell(k));
         });
     }
     for (std::thread &t : pool)
         t.join();
     return results;
+}
+
+/**
+ * Claim order for runSweep: cell indices by descending cost, ties in
+ * index order.
+ */
+inline std::vector<size_t>
+longestFirst(const std::vector<double> &costs)
+{
+    std::vector<size_t> order(costs.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return costs[a] > costs[b];
+    });
+    return order;
 }
 
 } // namespace xisa::exp

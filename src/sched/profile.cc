@@ -16,21 +16,31 @@ JobProfileTable
 JobProfileTable::calibrate()
 {
     // One cell per workload: compile it, then run it on each ISA. A
-    // cell holds one binary and one container at a time; finer
-    // (workload, ISA) cells would let the two runs of the largest
-    // workload fill two workers' heaps at once. The sweep returns in
-    // index order, so the table does not depend on the worker count.
+    // cell holds one binary and one container at a time. Cell costs
+    // span 18x (bzip alone is about 40% of the work), so cells are
+    // claimed by descending work: bzip starts at once and the smaller
+    // cells fill the other workers beside it, rather than bzip
+    // starting late and running on alone. The sweep returns in index
+    // order, so the table does not depend on the worker count or the
+    // claim order.
     using Secs = std::array<double, kNumIsas>;
     const std::vector<WorkloadId> wls = allWorkloads();
-    const std::vector<Secs> secs = exp::runSweep(wls.size(), [&](size_t w) {
-        MultiIsaBinary bin =
-            compileModule(buildWorkload(wls[w], ProblemClass::A, 1));
-        Secs s{};
-        for (const NodeSpec &node : {makeXenoServer(), makeAetherServer()})
-            s[static_cast<int>(node.isa)] =
-                exp::runSingleNode(bin, node).makespanSeconds;
-        return s;
-    });
+    std::vector<double> work;
+    for (WorkloadId wl : wls)
+        work.push_back(workloadDesc(wl).workMinstrs);
+    const std::vector<Secs> secs = exp::runSweep(
+        wls.size(),
+        [&](size_t w) {
+            MultiIsaBinary bin =
+                compileModule(buildWorkload(wls[w], ProblemClass::A, 1));
+            Secs s{};
+            for (const NodeSpec &node :
+                 {makeXenoServer(), makeAetherServer()})
+                s[static_cast<int>(node.isa)] =
+                    exp::runSingleNode(bin, node).makespanSeconds;
+            return s;
+        },
+        exp::longestFirst(work));
 
     JobProfileTable table;
     for (size_t w = 0; w < wls.size(); ++w)

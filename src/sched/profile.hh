@@ -28,8 +28,10 @@ class JobProfileTable
     /**
      * Run each workload once per ISA (class A, serial) through the
      * compiler + OS + interpreter stack and derive the table. The
-     * workloads fan out over exp::runSweep, one cell each; the table
-     * is identical at any worker count. Call once per process and
+     * workloads fan out over exp::runSweep, one cell each, claimed
+     * longest first (WorkloadDesc::workMinstrs) so the largest
+     * workload never starts last and runs alone; the table is
+     * identical at any worker count. Call once per process and
      * share.
      */
     static JobProfileTable calibrate();

@@ -1228,16 +1228,16 @@ const std::vector<WorkloadDesc> &
 workloadTable()
 {
     static const std::vector<WorkloadDesc> table = {
-        {WorkloadId::CG, "cg", true, buildCgT},
-        {WorkloadId::IS, "is", true, buildIsT},
-        {WorkloadId::FT, "ft", true, buildFtT},
-        {WorkloadId::EP, "ep", true, buildEpT},
-        {WorkloadId::MG, "mg", true, buildMgT},
-        {WorkloadId::SP, "sp", true, buildSpT},
-        {WorkloadId::BT, "bt", true, buildBtT},
-        {WorkloadId::BZIP, "bzip", false, buildBzipT},
-        {WorkloadId::VERUS, "verus", false, buildVerusT},
-        {WorkloadId::REDIS, "redis", false, buildRedisT},
+        {WorkloadId::CG, "cg", true, buildCgT, 2.0},
+        {WorkloadId::IS, "is", true, buildIsT, 4.2},
+        {WorkloadId::FT, "ft", true, buildFtT, 6.9},
+        {WorkloadId::EP, "ep", true, buildEpT, 3.5},
+        {WorkloadId::MG, "mg", true, buildMgT, 8.7},
+        {WorkloadId::SP, "sp", true, buildSpT, 1.5},
+        {WorkloadId::BT, "bt", true, buildBtT, 2.4},
+        {WorkloadId::BZIP, "bzip", false, buildBzipT, 26.7},
+        {WorkloadId::VERUS, "verus", false, buildVerusT, 1.8},
+        {WorkloadId::REDIS, "redis", false, buildRedisT, 3.0},
     };
     return table;
 }

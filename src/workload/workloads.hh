@@ -53,7 +53,7 @@ enum class ProblemClass { A, B, C };
 
 /**
  * One workload, described once. Adding a workload is one record in
- * workloadTable() (name, thread-capability, builder); every query
+ * workloadTable() (name, thread-capability, builder, work); every query
  * below -- and the exp/ WorkloadRegistry -- derives from the table,
  * so there are no parallel switches to keep in sync.
  */
@@ -62,6 +62,11 @@ struct WorkloadDesc {
     const char *name;    ///< short name, e.g. "cg"
     bool threadCapable;  ///< accepts nthreads > 1 (the NPB-like set)
     Module (*build)(ProblemClass cls, int nthreads);
+    /** Guest instructions of a class-A serial run on Xeno64, in
+     *  millions: the workload's relative host cost, so sweeps can
+     *  start their longest cells first. A hint, pinned within 25% of
+     *  the measured count by a test. */
+    double workMinstrs;
 };
 
 /** The registration table, in WorkloadId order. */

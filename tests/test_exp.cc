@@ -2,18 +2,26 @@
  * @file
  * The config-driven experiment platform: the conf parser (grammar,
  * macros, diagnostics, unknown-key tracking), the workload registry
- * (providers, named parameter sets, reference resolution), and the
- * experiment specs (defaults, validation, serialize round-trip).
+ * (providers, named parameter sets, reference resolution), the
+ * experiment specs (defaults, validation, serialize round-trip), and
+ * the sweep driver's claim order.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <numeric>
+#include <optional>
 
 #include "exp/config.hh"
 #include "exp/registry.hh"
 #include "exp/spec.hh"
+#include "exp/sweep.hh"
+#include "util/logging.hh"
+#include "util/rng.hh"
 
 using namespace xisa;
 using namespace xisa::exp;
@@ -921,6 +929,84 @@ TEST(Spec, SerializeRoundTripTopology)
         "rack_hop_us = 5.0\nagg_hop_us = 20.0\n"
         "locality_bias = 0.5\n",
         "topo-roundtrip");
+}
+
+// --- Sweep: claim order ----------------------------------------------
+
+/** Sets the sweep's worker count for one scope. */
+class SweepThreads
+{
+  public:
+    explicit SweepThreads(int n)
+    {
+        if (const char *p = std::getenv("XISA_BENCH_THREADS"))
+            saved_ = p;
+        setenv("XISA_BENCH_THREADS", std::to_string(n).c_str(), 1);
+    }
+    ~SweepThreads()
+    {
+        if (saved_)
+            setenv("XISA_BENCH_THREADS", saved_->c_str(), 1);
+        else
+            unsetenv("XISA_BENCH_THREADS");
+    }
+
+  private:
+    std::optional<std::string> saved_;
+};
+
+TEST(Sweep, ClaimOrderReturnsResultsInIndexOrder)
+{
+    constexpr size_t n = 23;
+    std::vector<std::vector<size_t>> orders(3, std::vector<size_t>(n));
+    orders[0].clear(); // the default: claim 0..n-1
+    std::iota(orders[1].begin(), orders[1].end(), size_t{0});
+    std::iota(orders[2].rbegin(), orders[2].rend(), size_t{0});
+    Rng rng(24);
+    for (int p = 0; p < 20; ++p) {
+        std::vector<size_t> perm = orders[1];
+        for (size_t i = n - 1; i > 0; --i)
+            std::swap(perm[i], perm[rng.below(i + 1)]);
+        orders.push_back(perm);
+    }
+
+    for (int t : {1, 2, 3, 4}) {
+        SweepThreads threads(t);
+        for (const std::vector<size_t> &order : orders) {
+            std::vector<std::atomic<int>> runs(n);
+            std::vector<size_t> claimed; // in run order, one worker only
+            const std::vector<size_t> got = runSweep(
+                n,
+                [&](size_t i) {
+                    runs[i].fetch_add(1);
+                    if (t == 1)
+                        claimed.push_back(i);
+                    return 7 * i + 1;
+                },
+                order);
+            ASSERT_EQ(got.size(), n);
+            for (size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(runs[i].load(), 1) << "cell " << i << ", T=" << t;
+                EXPECT_EQ(got[i], 7 * i + 1) << "cell " << i << ", T=" << t;
+            }
+            if (t == 1) {
+                EXPECT_EQ(claimed, order.empty() ? orders[1] : order);
+            }
+        }
+    }
+
+    auto cell = [](size_t i) { return i; };
+    EXPECT_THROW(runSweep(3, cell, {0, 1}), PanicError);
+    EXPECT_THROW(runSweep(3, cell, {0, 1, 2, 0}), PanicError);
+    EXPECT_THROW(runSweep(3, cell, {0, 1, 1}), PanicError);
+    EXPECT_THROW(runSweep(3, cell, {0, 1, 3}), PanicError);
+}
+
+TEST(Sweep, LongestFirstSortsByDescendingCostTiesInIndexOrder)
+{
+    EXPECT_EQ(longestFirst({1.0, 4.0, 2.0, 4.0, 16.0, 1.0}),
+              (std::vector<size_t>{4, 1, 3, 2, 0, 5}));
+    EXPECT_TRUE(longestFirst({}).empty());
 }
 
 } // namespace

@@ -9,7 +9,11 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "compiler/compile.hh"
+#include "exp/sweep.hh"
 #include "machine/node.hh"
 #include "sched/cluster.hh"
 #include "sched/jobsets.hh"
@@ -62,6 +66,23 @@ TEST(JobProfile, TableIndexedByWorkloadIdCoversEveryWorkload)
                  FatalError);
 }
 
+TEST(JobProfile, WorkHintsMatchCalibrationRuns)
+{
+    // Calibration claims its cells by the work hints; a hint that has
+    // drifted from the kernel it describes would quietly misorder them.
+    for (const WorkloadDesc &d : workloadTable()) {
+        MultiIsaBinary bin =
+            compileModule(buildWorkload(d.id, ProblemClass::A, 1));
+        for (const NodeSpec &node : {makeXenoServer(), makeAetherServer()}) {
+            const double minstrs =
+                exp::runSingleNode(bin, node).totalInstrs / 1e6;
+            EXPECT_NEAR(d.workMinstrs, minstrs, 0.25 * minstrs)
+                << d.name << " on " << node.name << " ran " << minstrs
+                << " M guest instructions";
+        }
+    }
+}
+
 TEST(Profile, CalibrateIsWorkerCountInvariant)
 {
     const char *prev = std::getenv("XISA_BENCH_THREADS");
@@ -71,16 +92,21 @@ TEST(Profile, CalibrateIsWorkerCountInvariant)
         return JobProfileTable::calibrate();
     };
     const JobProfileTable one = calibrateWith("1");
-    const JobProfileTable four = calibrateWith("4");
+    std::vector<std::pair<const char *, JobProfileTable>> others;
+    for (const char *threads : {"2", "3", "4"})
+        others.emplace_back(threads, calibrateWith(threads));
     if (prev)
         setenv("XISA_BENCH_THREADS", saved.c_str(), 1);
     else
         unsetenv("XISA_BENCH_THREADS");
 
-    for (WorkloadId wl : allWorkloads())
-        for (IsaId isa : {IsaId::Xeno64, IsaId::Aether64})
-            EXPECT_EQ(one.baseSeconds(wl, isa), four.baseSeconds(wl, isa))
-                << workloadName(wl) << " on " << isaName(isa);
+    for (const auto &[threads, other] : others)
+        for (WorkloadId wl : allWorkloads())
+            for (IsaId isa : {IsaId::Xeno64, IsaId::Aether64})
+                EXPECT_EQ(one.baseSeconds(wl, isa),
+                          other.baseSeconds(wl, isa))
+                    << workloadName(wl) << " on " << isaName(isa) << " at "
+                    << threads << " workers";
 }
 
 TEST(JobProfile, ClassesAndThreadsScaleSensibly)
