@@ -33,6 +33,7 @@ using xisa::exp::quickMode;
 using xisa::exp::runSingleNode;
 
 using xisa::exp::kOptObs;
+using xisa::exp::kOptPerfJson;
 using xisa::exp::kOptQuick;
 using xisa::exp::Options;
 using xisa::exp::parseCommonArgs;

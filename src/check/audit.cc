@@ -404,7 +404,6 @@ InvariantAuditor::violation(const char *where,
                  "(fault seed 0x%llx)\n",
                  static_cast<unsigned long long>(ctx_.perturbSeed),
                  static_cast<unsigned long long>(ctx_.faultSeed));
-#if XISA_TRACE
     if (obs::traceEnabled()) {
         std::string path =
             "xisa_audit_violation_" +
@@ -416,7 +415,6 @@ InvariantAuditor::violation(const char *where,
                          path.c_str());
         }
     }
-#endif
     panic("audit violation at %s: %s", where, detail.c_str());
 }
 

@@ -105,7 +105,6 @@ StackTransformer::transform(const ThreadContext &src, uint32_t siteId,
     const size_t numFrames = frames.size();
     work.frames = static_cast<uint32_t>(numFrames);
 
-#if XISA_TRACE
     // One instant per discovered frame, innermost first, on the ambient
     // track -- renders the walked call chain under the transform span.
     if (obs::traceEnabled() && !auditMode_) {
@@ -121,7 +120,6 @@ StackTransformer::transform(const ThreadContext &src, uint32_t siteId,
                                           fn, cur.tsSeconds);
         }
     }
-#endif
 
     // ---- 2. Pick the destination half of the stack region. -----------
     const uint64_t stackBase = stackTopAddr - vm::kStackSize;

@@ -13,7 +13,6 @@ namespace {
 /** Protocol message header size modeled for control traffic. */
 constexpr uint64_t kMsgHeader = 64;
 
-#if XISA_TRACE
 /** Record a DSM fault as a span at the ambient cursor, advancing the
  *  cursor by the charged cycles converted at `freqGHz`. */
 void
@@ -27,7 +26,6 @@ traceFault(const char *name, uint64_t cyc, double freqGHz)
     obs::Tracer::global().end(cur.track, cur.tsSeconds + dur);
     cur.tsSeconds += dur;
 }
-#endif
 } // namespace
 
 DsmSpace::DsmSpace(int numNodes, Interconnect *net,
@@ -503,9 +501,7 @@ DsmSpace::faultRead(int node, uint64_t vpage)
         break;
     }
     extraCycles_.add(cyc);
-#if XISA_TRACE
     traceFault("read_fault", cyc, freqGHz_[static_cast<size_t>(node)]);
-#endif
     auditStep("read_fault", vpage);
     return cyc;
 }
@@ -594,9 +590,7 @@ DsmSpace::faultWrite(int node, uint64_t vpage)
     }
     d.state[static_cast<size_t>(node)] = PageState::Modified;
     extraCycles_.add(cyc);
-#if XISA_TRACE
     traceFault("write_fault", cyc, freqGHz_[static_cast<size_t>(node)]);
-#endif
     auditStep("write_fault", vpage);
     return cyc;
 }

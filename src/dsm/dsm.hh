@@ -151,7 +151,6 @@ class DsmSpace
      * by the caller (the OS container or the test).
      */
     void armRecovery(FailureDetector *fd);
-    bool recoveryArmed() const { return fd_ != nullptr; }
     FailureDetector *failureDetector() const { return fd_; }
     /** Invoked once per recovered node, after the directory has been
      *  rebuilt; the OS re-homes that node's threads here. */

@@ -151,7 +151,6 @@ class Interconnect
     /** True while `peer`'s circuit is open (fail-fast mode). */
     bool circuitOpen(int peer) const;
 
-    FaultPlan &faultPlan() { return plan_; }
     const RetryPolicy &retryPolicy() const { return cfg_.retry; }
 
     /**

@@ -30,8 +30,9 @@ usageExit(const char *prog, unsigned features, const char *extraUsage,
                      "  --trace-out FILE     write a Chrome trace of "
                      "the run\n");
     if (features & kOptPerfJson)
+        std::fprintf(stderr, "  --json FILE          report rows as JSON\n");
+    if (features & kOptSweepJson)
         std::fprintf(stderr,
-                     "  --json FILE          perf-smoke row JSON\n"
                      "  --sweep-json FILE    per-cell host time and MIPS\n");
     if (features & kOptSpecTools)
         std::fprintf(stderr,
@@ -90,7 +91,7 @@ parseCommonArgs(int argc, char **argv, unsigned features,
             o.traceOutPath = val();
         } else if ((features & kOptPerfJson) && name == "--json") {
             o.perfJsonPath = val();
-        } else if ((features & kOptPerfJson) &&
+        } else if ((features & kOptSweepJson) &&
                    name == "--sweep-json") {
             o.sweepJsonPath = val();
         } else if ((features & kOptSpecTools) &&

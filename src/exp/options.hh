@@ -7,7 +7,8 @@
  * Flags by feature:
  *   kOptObs       --stats, --stats-json FILE, --trace-out FILE
  *   kOptQuick     --quick (same as XISA_QUICK=1)
- *   kOptPerfJson  --json FILE, --sweep-json FILE
+ *   kOptPerfJson  --json FILE
+ *   kOptSweepJson --sweep-json FILE
  *   kOptSpecTools --print-spec, --list-workloads
  *
  * Both `--flag value` and `--flag=value` spellings are accepted. Options
@@ -30,6 +31,7 @@ enum : unsigned {
     kOptObs = 1u << 0,
     kOptQuick = 1u << 1,
     kOptPerfJson = 1u << 2,
+    kOptSweepJson = 1u << 4,
     /** xisa_exp's own tool flags: --print-spec, --list-workloads. */
     kOptSpecTools = 1u << 3,
 };
@@ -43,6 +45,7 @@ struct Options {
     std::string traceOutPath;
     // kOptPerfJson
     std::string perfJsonPath;
+    // kOptSweepJson
     std::string sweepJsonPath;
     // kOptSpecTools
     bool printSpec = false;

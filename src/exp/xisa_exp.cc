@@ -23,7 +23,7 @@ main(int argc, char **argv)
 {
     Options opts = parseCommonArgs(
         argc, argv,
-        kOptObs | kOptQuick | kOptPerfJson | kOptSpecTools,
+        kOptObs | kOptQuick | kOptPerfJson | kOptSweepJson | kOptSpecTools,
         "  FILE                 experiment .conf to run\n");
 
     try {

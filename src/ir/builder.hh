@@ -47,7 +47,6 @@ class FuncBuilder
 
     // --- Constants -----------------------------------------------------
     ValueId constInt(int64_t value, Type type = Type::I64);
-    ValueId constPtr(int64_t value) { return constInt(value, Type::Ptr); }
     ValueId constFloat(double value);
 
     // --- Integer arithmetic (result type = type of lhs) ----------------

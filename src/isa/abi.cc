@@ -80,13 +80,6 @@ AbiInfo::isCalleeSavedGpr(int reg) const
            calleeSavedGpr.end();
 }
 
-bool
-AbiInfo::isCalleeSavedFpr(int reg) const
-{
-    return std::find(calleeSavedFpr.begin(), calleeSavedFpr.end(), reg) !=
-           calleeSavedFpr.end();
-}
-
 std::string
 AbiInfo::gprName(int reg) const
 {

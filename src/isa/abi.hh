@@ -57,8 +57,6 @@ struct AbiInfo {
 
     /** True if GPR `reg` is callee-saved (including the frame pointer). */
     bool isCalleeSavedGpr(int reg) const;
-    /** True if FPR `reg` is callee-saved. */
-    bool isCalleeSavedFpr(int reg) const;
 
     /** Register name for disassembly, e.g. "x19" / "r12" / "sp". */
     std::string gprName(int reg) const;

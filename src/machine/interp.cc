@@ -170,7 +170,6 @@ Interp::runImpl(ThreadContext &ctx, MemPort &mem, Core &core, Cache &l2,
     uint32_t idx = ctx.pc.instrIdx;
     auto syncPc = [&] { ctx.pc.instrIdx = idx; };
 
-#if XISA_TRACE
     const bool tracing = obs::traceEnabled();
     const double tsPerCycle = spec_.secondsPerCycle();
     // Virtual time of this core as of the current instruction; keeps
@@ -179,7 +178,6 @@ Interp::runImpl(ThreadContext &ctx, MemPort &mem, Core &core, Cache &l2,
         return static_cast<double>(core.cycles + res.cyclesRun + cyc) *
                tsPerCycle;
     };
-#endif
 
     while (res.instrsRun < maxInstrs) {
         XISA_CHECK(idx < img->code.size(), "PC past end of function");
@@ -216,10 +214,8 @@ Interp::runImpl(ThreadContext &ctx, MemPort &mem, Core &core, Cache &l2,
                 if (mem.tryRead(addr, &v, n))
                     return v;
             }
-#if XISA_TRACE
             if (tracing)
                 obs::traceCursor().tsSeconds = nowTs(cyc + extra);
-#endif
             extra += mem.read(addr, &v, n);
             return v;
         };
@@ -229,10 +225,8 @@ Interp::runImpl(ThreadContext &ctx, MemPort &mem, Core &core, Cache &l2,
                 if (mem.tryWrite(addr, &v, n))
                     return;
             }
-#if XISA_TRACE
             if (tracing)
                 obs::traceCursor().tsSeconds = nowTs(cyc + extra);
-#endif
             extra += mem.write(addr, &v, n);
         };
 
@@ -508,12 +502,10 @@ Interp::runImpl(ThreadContext &ctx, MemPort &mem, Core &core, Cache &l2,
             if (in.target == kMigrateTarget) {
                 syncPc();
                 res.trapCallSite = in.callSiteId;
-#if XISA_TRACE
                 if (tracing)
                     obs::Tracer::global().instant(
                         obs::traceCursor().track, "interp",
                         "migpoint_hit", nowTs(cyc));
-#endif
                 return finish(StopReason::MigrateTrap);
             }
             const IRFunction &callee = bin_.ir.func(in.target);

@@ -196,12 +196,6 @@ class Interp
     IsaId isa() const { return isa_; }
     const CodeMap &codeMap() const { return codeMap_; }
 
-    /** True when the predecoded fast path is active (default; cleared
-     *  when constructed under XISA_SLOW_PATH). */
-    bool fastPath() const { return fastPath_; }
-    /** Force the reference or fast dispatch loop (differential tests). */
-    void setFastPath(bool on) { fastPath_ = on; }
-
     /** Predecoded stream of one function (built on first use). */
     const std::vector<PreInstr> &predecoded(uint32_t funcId);
 
@@ -227,7 +221,9 @@ class Interp
     CodeMap codeMap_;
     MigCheckObserver *observer_ = nullptr;
     bool profiling_ = false;
-    bool fastPath_ = true;
+    /** Fixed at construction: the threaded engine is built over the
+     *  fast path only. */
+    const bool fastPath_;
     /** Per-function predecoded streams, shared-immutable so ExecCache
      *  can hand one copy to every node of a sweep. [funcId] */
     std::vector<std::shared_ptr<const std::vector<PreInstr>>> pre_;

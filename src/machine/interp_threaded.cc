@@ -551,10 +551,8 @@ ThreadedEngine::runLoop(ThreadContext *ctx, MemPort *mem, Core *core,
     core->l1d.retainHostLines(mem, mem->tlbEpoch());
 
     const uint32_t memPen = interp_.spec_.memPenaltyCycles;
-#if XISA_TRACE
     const bool tracing = obs::traceEnabled();
     const double tsPerCycle = interp_.spec_.secondsPerCycle();
-#endif
     uint64_t *const g = ctx->gpr;
     double *const f = ctx->fpr;
 
@@ -1190,13 +1188,11 @@ L_MigTrap: {
     flushFetch();
     [[maybe_unused]] const uint32_t p = accessThrough(
         core->l1i, *l2, pre[u->gidx].fetchAddr, memPen);
-#if XISA_TRACE
     if (tracing)
         obs::Tracer::global().instant(
             obs::traceCursor().track, "interp", "migpoint_hit",
             static_cast<double>(core->cycles + cyc + u->cost + p) *
                 tsPerCycle);
-#endif
     fold();
     ctx->pc.funcId = funcId;
     ctx->pc.instrIdx = u->gidx;

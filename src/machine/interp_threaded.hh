@@ -126,8 +126,8 @@ uint64_t execTimingSig(const NodeSpec &spec);
  * Shared cache of predecoded streams and lowered superblocks. Both are
  * keyed only by (binary, ISA, function) plus the timing signature, so
  * sweep drivers running one binary across many configs share one cache
- * instead of redecoding per config (bench::runSweep hands one to every
- * ReplicatedOS via OsConfig::execCache). The first claimant of an ISA
+ * instead of redecoding per config (the overhead kind's exp::runSweep
+ * hands one to every ReplicatedOS via OsConfig::execCache). The first claimant of an ISA
  * slot fixes its signature; an instance whose signature differs simply
  * bypasses the cache. Thread-safe; entries are immutable once stored.
  */

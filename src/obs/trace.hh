@@ -12,10 +12,8 @@
  * coherent timeline in chrome://tracing or https://ui.perfetto.dev.
  *
  * Cost model:
- *  - compiled out entirely when built with -DXISA_TRACE=OFF (the
- *    instrumentation macros expand to nothing);
- *  - compiled in but disabled (the default at startup): one predictable
- *    branch on `gTraceEnabled` per potential event;
+ *  - disabled (the default at startup): one predictable branch on
+ *    `gTraceEnabled` per potential event;
  *  - enabled: one ring-buffer store per event. A ring grows with its
  *    track's events up to a fixed capacity, then overwrites its oldest
  *    events, so a quiet track costs a few slots and tracing never
@@ -36,13 +34,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-/** Compile-time gate for the instrumentation macros (CMake -DXISA_TRACE).
- *  The Tracer itself is always compiled so tools and tests can drive it
- *  directly in either configuration. */
-#ifndef XISA_TRACE
-#define XISA_TRACE 1
-#endif
 
 namespace xisa::obs {
 
@@ -169,9 +160,7 @@ template <typename NowFn> class ScopedSpan
 
 } // namespace xisa::obs
 
-// --- Instrumentation macros (compiled out under XISA_TRACE=OFF) ---------
-
-#if XISA_TRACE
+// --- Instrumentation macros --------------------------------------------
 
 #define OBS_CONCAT2(a, b) a##b
 #define OBS_CONCAT(a, b) OBS_CONCAT2(a, b)
@@ -206,25 +195,5 @@ template <typename NowFn> class ScopedSpan
             ::xisa::obs::Tracer::global().counter(track, name, value,       \
                                                   tsSec);                   \
     } while (0)
-
-#else // !XISA_TRACE
-
-#define OBS_SPAN(cat, name, track, nowFn)                                   \
-    do {                                                                    \
-    } while (0)
-#define OBS_TRACE_BEGIN(track, cat, name, tsSec)                            \
-    do {                                                                    \
-    } while (0)
-#define OBS_TRACE_END(track, tsSec)                                         \
-    do {                                                                    \
-    } while (0)
-#define OBS_TRACE_INSTANT(track, cat, name, tsSec)                          \
-    do {                                                                    \
-    } while (0)
-#define OBS_TRACE_COUNTER(track, name, value, tsSec)                        \
-    do {                                                                    \
-    } while (0)
-
-#endif // XISA_TRACE
 
 #endif // XISA_OBS_TRACE_HH

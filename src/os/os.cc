@@ -251,11 +251,9 @@ ReplicatedOS::createThread(int node, uint32_t funcId,
         commitThread(t); // newborn threads are born committed
     ++threadSpawns_;
     liveThreads_.add(1);
-#if XISA_TRACE
     if (obs::traceEnabled())
         obs::Tracer::global().nameTrack(t.tid,
                                         "tid" + std::to_string(t.tid));
-#endif
 
     threads_.push_back(std::move(thread));
     return t.tid;
@@ -367,7 +365,6 @@ ReplicatedOS::runQuantum(OsThread &t)
     Core &core = nr.cores[static_cast<size_t>(t.core)];
     double t0 = coreTime(t.node, t.core);
     ++quanta_;
-#if XISA_TRACE
     const bool tracing = obs::traceEnabled();
     if (tracing) {
         // The ambient cursor lets the layers below (interpreter memory
@@ -375,15 +372,12 @@ ReplicatedOS::runQuantum(OsThread &t)
         obs::setTraceCursor(t.tid, t0);
         obs::Tracer::global().begin(t.tid, "interp", "quantum", t0);
     }
-#endif
     StepResult r = nr.interp->run(t.ctx, dsm_->port(t.node), core, nr.l2,
                                   cfg_.quantum);
     totalInstrs_ += r.instrsRun;
     instrsStat_.add(r.instrsRun);
-#if XISA_TRACE
     if (tracing)
         obs::Tracer::global().end(t.tid, coreTime(t.node, t.core));
-#endif
     meter_.addBusy(t.node, t0, coreTime(t.node, t.core));
 
     if (fd_ && fd_->crashed(t.node)) {
@@ -485,7 +479,6 @@ ReplicatedOS::execBuiltin(OsThread &t, uint32_t funcId)
     Interp &in = *nr.interp;
     std::vector<int64_t> args = in.readTrapArgs(t.ctx, callee);
     ++builtinCalls_;
-#if XISA_TRACE
     const bool tracing = obs::traceEnabled();
     if (tracing) {
         double bt0 = coreTime(t.node, t.core);
@@ -497,7 +490,6 @@ ReplicatedOS::execBuiltin(OsThread &t, uint32_t funcId)
             span = obs::intern(callee.name);
         obs::Tracer::global().begin(t.tid, "os", span, bt0);
     }
-#endif
     chargeKernel(t, nr.spec.cost(MOp::SysCall));
 
     switch (callee.builtin) {
@@ -640,10 +632,8 @@ ReplicatedOS::execBuiltin(OsThread &t, uint32_t funcId)
       case Builtin::None:
         panic("builtin trap on non-builtin function");
     }
-#if XISA_TRACE
     if (tracing)
         obs::Tracer::global().end(t.tid, coreTime(t.node, t.core));
-#endif
 }
 
 std::vector<std::pair<uint64_t, uint64_t>>
@@ -747,10 +737,8 @@ ReplicatedOS::handleMigrateTrap(OsThread &t, uint32_t siteId)
         // (Section 5.3), then the kernel thread-migration service.
         OBS_TRACE_BEGIN(t.tid, "stacktransform", "transform",
                         ev.trapTime);
-#if XISA_TRACE
         if (obs::traceEnabled())
             obs::setTraceCursor(t.tid, ev.trapTime);
-#endif
         TransformStats stats;
         newCtx = xform_.transform(t.ctx, siteId, dst.spec.isa, *dsm_,
                                   t.node, vm::stackTop(t.stackSlot),

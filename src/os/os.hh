@@ -82,8 +82,8 @@ struct OsConfig {
     /**
      * Optional shared cache of predecoded streams and lowered
      * superblocks (DESIGN.md §10). Sweep drivers that construct many
-     * containers from one binary (bench::runSweep) hand the same cache
-     * to every container, so each (ISA, function, timing-signature)
+     * containers from one binary (the overhead kind's exp::runSweep)
+     * hand the same cache to every container, so each (ISA, function, timing-signature)
      * artifact is built once per process instead of once per cell.
      * Null (the default) keeps per-interpreter private artifacts.
      */

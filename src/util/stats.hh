@@ -72,8 +72,6 @@ class DecadeHistogram
     /** Record a positive sample; clamps into the configured range. */
     void add(double x);
 
-    int loDecade() const { return lo_; }
-    int hiDecade() const { return hi_; }
     uint64_t bucket(int decade) const;
     uint64_t total() const { return total_; }
 

@@ -1,6 +1,6 @@
 # Script-mode check that a conf's report does not depend on an
-# environment switch: the sweep worker count, the execution engine or
-# the fleet scheduler's driver.
+# environment switch: the sweep worker count, the execution engine, the
+# fleet scheduler's driver or the invariant auditor.
 #
 #   cmake -DRUNNER=<xisa_exp binary> -DCONF=<experiment .conf>
 #         -DOUT=<output directory> -DVARIANTS=<variants> [-DJSON=1]

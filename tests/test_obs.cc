@@ -624,8 +624,6 @@ TEST(Tracer, RingOverwriteDropsOrphanedEnd)
     expectBalancedJson(s);
 }
 
-#if XISA_TRACE
-
 TEST(ObsEndToEnd, MigrationTraceCoversSubsystems)
 {
     obs::Tracer &tr = obs::Tracer::global();
@@ -673,8 +671,6 @@ TEST(ObsEndToEnd, MigrationTraceCoversSubsystems)
     EXPECT_GT(snap["machine.instrs"], 0.0);
     EXPECT_GT(snap["dsm.page_transfers"], 0.0);
 }
-
-#endif // XISA_TRACE
 
 } // namespace
 } // namespace xisa
