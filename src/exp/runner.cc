@@ -153,6 +153,11 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
     std::vector<double> work;
     for (const Cell &c : cells)
         work.push_back(classScale(c.cls));
+    // --stats and --stats-json dump the instrumented run of the last
+    // cell, as the other kinds dump their last cell; its container is
+    // kept only when one of them asks.
+    const bool keepStats = opts.dumpStats || !opts.statsJsonPath.empty();
+    std::unique_ptr<ReplicatedOS> lastInst;
     const double t0 = wallNow();
     std::vector<CellResult> results = runSweep(
         cells.size(),
@@ -163,8 +168,9 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
             double c0 = wallNow();
             OsRunResult rb = runSingleNode(bin.base, c.node,
                                            bin.baseCache);
-            OsRunResult ri = runSingleNode(bin.inst, c.node,
-                                           bin.instCache);
+            OsRunResult ri = runSingleNode(
+                bin.inst, c.node, bin.instCache,
+                keepStats && i + 1 == cells.size() ? &lastInst : nullptr);
             r.tBase = rb.makespanSeconds;
             r.tInst = ri.makespanSeconds;
             r.instrs = rb.totalInstrs + ri.totalInstrs;
@@ -252,10 +258,8 @@ runOverhead(const ExperimentSpec &spec, const Options &opts)
                       wallSeconds, writeCells))
         return 1;
 
-    // Per-cell registries die with their cell; only the tracer
-    // survives to the output stage.
-    obs::StatRegistry empty;
-    writeOutputs(opts, empty);
+    obs::StatRegistry none;
+    writeOutputs(opts, lastInst ? lastInst->statRegistry() : none);
     return 0;
 }
 
@@ -763,22 +767,17 @@ runServing(const ExperimentSpec &spec, const Options &opts)
 int
 runExperiment(const ExperimentSpec &spec, const Options &opts)
 {
-    // --json rows exist for overhead, rack and serving; --sweep-json's
-    // per-cell host times for overhead only. Refuse before any work
-    // rather than run and silently write nothing.
-    const bool rows = spec.kind == ExperimentKind::Overhead ||
-                      spec.kind == ExperimentKind::Rack ||
-                      spec.kind == ExperimentKind::Serving;
+    // Refuse an output the kind does not write before any work rather
+    // than run and silently write nothing.
+    const KindInfo &kind = kindInfo(spec.kind);
     const char *unwritten = nullptr;
-    if (!opts.perfJsonPath.empty() && !rows)
+    if (!opts.perfJsonPath.empty() && !kind.writesJson)
         unwritten = "--json";
-    else if (!opts.sweepJsonPath.empty() &&
-             spec.kind != ExperimentKind::Overhead)
+    else if (!opts.sweepJsonPath.empty() && !kind.writesSweepJson)
         unwritten = "--sweep-json";
     if (unwritten) {
         std::fprintf(stderr, "%s: %s is not written by kind = %s\n",
-                     spec.source.c_str(), unwritten,
-                     kindName(spec.kind));
+                     spec.source.c_str(), unwritten, kind.name);
         return 2;
     }
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <type_traits>
 #include <utility>
 
@@ -27,12 +28,6 @@ fmtDouble(double v)
             break;
     }
     return buf;
-}
-
-std::string
-fmtU64(uint64_t v)
-{
-    return std::to_string(static_cast<unsigned long long>(v));
 }
 
 std::string
@@ -178,17 +173,40 @@ splitRefList(const std::string &raw)
 
 } // namespace
 
+namespace {
+
+using K = KindInfo;
+
+constexpr unsigned kFleetSections = K::kNodes | K::kMachines | K::kPools |
+                                    K::kNet | K::kSim | K::kFaults |
+                                    K::kCrashes | K::kTopology | K::kFooter;
+
+/** The kind table, one row per ExperimentKind, in its order. */
+constexpr K kKinds[] = {
+    // name, sections, --json, --sweep-json
+    {"overhead", K::kNodes | K::kParamSets, true, true},
+    {"sustained", kFleetSections, false, false},
+    {"rack", kFleetSections, true, false},
+    {"single", K::kNodes | K::kParamSets | K::kNet | K::kFaults | K::kOs,
+     false, false},
+    {"serving", K::kNodes | K::kTraffic | K::kCrashes | K::kTopology |
+                    K::kFailures | K::kFooter,
+     true, false},
+};
+static_assert(std::size(kKinds) == size_t(ExperimentKind::Serving) + 1);
+
+} // namespace
+
+const KindInfo &
+kindInfo(ExperimentKind k)
+{
+    return kKinds[static_cast<size_t>(k)];
+}
+
 const char *
 kindName(ExperimentKind k)
 {
-    switch (k) {
-      case ExperimentKind::Overhead: return "overhead";
-      case ExperimentKind::Sustained: return "sustained";
-      case ExperimentKind::Rack: return "rack";
-      case ExperimentKind::Single: return "single";
-      case ExperimentKind::Serving: return "serving";
-    }
-    return "?";
+    return kindInfo(k).name;
 }
 
 Policy
@@ -300,79 +318,279 @@ ClusterSpec::simConfig() const
     return c;
 }
 
-// --- Parsing --------------------------------------------------------
+// --- The conf schema ------------------------------------------------
 
 namespace {
 
+/** Whether a key must be present; the writer writes every key. */
+enum class Need { Optional, Required };
+
 /**
- * The shared sections, one bit each. A kind reads exactly the sections
- * its runner uses (kindSections), and serializeSpec writes exactly
- * those, so requireAllUsed rejects a section the kind never reads. The
- * kind-private sections ([os] for single, [traffic] and [failures] for
- * serving) are read in their kind's case of parseExperiment.
+ * Reads each key a key list visits into its field, whose value on
+ * entry is the default. Integers go through getInt, so a field of any
+ * integer width reads the same way. List- and plan-valued keys are
+ * read by hand in parseExperiment, beside their checks.
  */
-enum SectionBit : unsigned {
-    kNodes = 1u << 0,     ///< [node.*]
-    kParamSets = 1u << 1, ///< [paramset.*]
-    kMachines = 1u << 2,  ///< [machine.*]
-    kPools = 1u << 3,     ///< [pool.*]
-    kNet = 1u << 4,
-    kSim = 1u << 5,
-    kFaults = 1u << 6,
-    kCrashes = 1u << 7,
-    kTopology = 1u << 8,
-    kFooter = 1u << 9,
+struct KeyReader {
+    const Config &conf;
+    std::string sec;
+    unsigned sections = 0; ///< the section bits of the kind's row
+
+    /** Visit a section of the kind's row that the conf has. */
+    bool
+    section(unsigned bit, const char *name, bool /*written*/)
+    {
+        sec = name;
+        return (sections & bit) && conf.hasSection(name);
+    }
+
+    template <typename T>
+    void
+    operator()(const char *key, T &v, Need need = Need::Optional) const
+    {
+        if (need == Need::Required)
+            conf.requireString(sec, key);
+        if constexpr (std::is_same_v<T, std::string>)
+            v = conf.getString(sec, key, v);
+        else if constexpr (std::is_same_v<T, bool>)
+            v = conf.getBool(sec, key, v);
+        else if constexpr (std::is_floating_point_v<T>)
+            v = conf.getDouble(sec, key, v);
+        else
+            v = static_cast<T>(
+                conf.getInt(sec, key, static_cast<int64_t>(v)));
+    }
+
+    template <typename T>
+    void
+    list(const char *, const std::vector<T> &) const
+    {}
 };
 
-/** Read numeric `key` of `sec` into `v`, whose value is the default. */
-template <typename T>
-void
-read(const Config &conf, const std::string &sec, const char *key, T &v)
+std::string entryText(const std::string &s) { return s; }
+std::string entryText(int v) { return std::to_string(v); }
+std::string entryText(ProblemClass c) { return className(c); }
+
+std::string
+entryText(const CrashSpec &cs)
 {
-    if constexpr (std::is_floating_point_v<T>)
-        v = conf.getDouble(sec, key, v);
-    else
-        v = static_cast<T>(conf.getInt(sec, key, static_cast<int64_t>(v)));
+    return std::to_string(cs.machine) + "@" + fmtDouble(cs.time);
 }
 
-/** The set sweep of sustained/rack: `sets`, `sets_quick`, `seed_base`.
- *  `sets_quick = 0` (the default) runs `sets` under XISA_QUICK too. */
-void
-readSets(const Config &conf, ExperimentSpec &s)
+std::string
+entryText(const ShardMigrationSpec &m)
 {
-    s.sets = static_cast<int>(conf.requireInt("", "sets"));
-    read(conf, "", "sets_quick", s.setsQuick);
-    if (s.setsQuick < 0)
-        conf.failAt("", "sets_quick",
-                    "key 'sets_quick' must be >= 0 (0 runs 'sets'), "
-                    "got " + std::to_string(s.setsQuick));
-    s.seedBase = static_cast<uint64_t>(conf.requireInt("", "seed_base"));
+    return std::to_string(m.shard) + "@" + fmtDouble(m.time) + "->" +
+           std::to_string(m.node);
 }
 
-unsigned
-kindSections(ExperimentKind k)
+std::string
+entryText(const FailureSpec &f)
 {
-    switch (k) {
-      case ExperimentKind::Overhead: return kNodes | kParamSets;
-      case ExperimentKind::Single:
-        return kNodes | kParamSets | kNet | kFaults;
+    return f.kind + ":" + std::to_string(f.domain) + "@" +
+           fmtDouble(f.at) + ".." + fmtDouble(f.heal);
+}
+
+/** Writes each key a key list visits as one canonical line. */
+struct KeyWriter {
+    std::string out;
+    unsigned sections = 0; ///< the section bits of the kind's row
+
+    /** Open a section of the kind's row when `written` holds. */
+    bool
+    section(unsigned bit, const char *name, bool written)
+    {
+        if (!(sections & bit) || !written)
+            return false;
+        out += std::string("\n[") + name + "]\n";
+        return true;
+    }
+
+    template <typename T>
+    void
+    operator()(const char *key, const T &v, Need = Need::Optional)
+    {
+        std::string text;
+        if constexpr (std::is_same_v<T, bool>)
+            text = v ? "true" : "false";
+        else if constexpr (std::is_floating_point_v<T>)
+            text = fmtDouble(v);
+        else if constexpr (std::is_integral_v<T>)
+            text = std::to_string(v);
+        else
+            text = v;
+        out += std::string(key) + " = " + confQuote(text) + "\n";
+    }
+
+    template <typename T>
+    void
+    list(const char *key, const std::vector<T> &items)
+    {
+        std::vector<std::string> texts;
+        for (const T &item : items)
+            texts.push_back(entryText(item));
+        (*this)(key, joinList(texts));
+    }
+};
+
+// The key lists: every key bound to its field, in canonical order.
+// parseExperiment visits them with a KeyReader and serializeSpec with
+// a KeyWriter. A list- or plan-valued key (`v.list`) is written from
+// here and read by hand beside its checks. `kind`, [paramset.*],
+// [pool.*] and the computed default of `duration_quick` are read and
+// written by hand.
+
+/** The top-level keys after `kind`. */
+template <typename V, typename S>
+void
+topKeys(V &&v, S &s)
+{
+    v("figure", s.figure, Need::Required);
+    v("title", s.title, Need::Required);
+    if (kindInfo(s.kind).writesJson)
+        v("bench_name", s.benchName);
+    switch (s.kind) {
+      case ExperimentKind::Overhead:
+        v.list("workloads", s.workloads);
+        v.list("isas", s.isas);
+        v.list("classes", s.classes);
+        v.list("classes_quick", s.classesQuick);
+        v.list("threads", s.threads);
+        v.list("threads_quick", s.threadsQuick);
+        break;
       case ExperimentKind::Sustained:
       case ExperimentKind::Rack:
-        return kNodes | kMachines | kPools | kNet | kSim | kFaults |
-               kCrashes | kTopology | kFooter;
+        // `sets_quick = 0` (the default) runs `sets` under XISA_QUICK too.
+        v("sets", s.sets, Need::Required);
+        v("sets_quick", s.setsQuick);
+        v("seed_base", s.seedBase, Need::Required);
+        if (s.kind == ExperimentKind::Sustained) {
+            v("jobs_per_set", s.jobsPerSet);
+        } else {
+            v("waves", s.waves);
+            v("jobs_per_wave_per_machine", s.jobsPerWavePerMachine);
+            v("pool_machines", s.poolMachines);
+        }
+        break;
+      case ExperimentKind::Single:
+        v("workload", s.workloadRef, Need::Required);
+        v("machines", s.singleMachines, Need::Required);
+        v("start_node", s.startNode);
+        break;
       case ExperimentKind::Serving:
-        return kNodes | kCrashes | kTopology | kFooter;
+        v("machines", s.singleMachines, Need::Required);
+        break;
     }
-    return 0;
 }
 
-/** The kinds whose runner writes --json, the one output `bench_name`
- *  labels; every other kind rejects the key. */
-bool
-writesPerfJson(ExperimentKind k)
+template <typename V, typename N>
+void
+nodeKeys(V &&v, N &n)
 {
-    return k == ExperimentKind::Overhead || k == ExperimentKind::Rack ||
-           k == ExperimentKind::Serving;
+    v("base", n.base, Need::Required);
+    v("cores", n.cores);
+    v("freq_ghz", n.freqGHz);
+    v("idle_watts", n.idleWatts);
+    v("max_watts", n.maxWatts);
+    v("mem_penalty", n.memPenaltyCycles);
+}
+
+template <typename V, typename M>
+void
+machineKeys(V &&v, M &m)
+{
+    v("node", m.node, Need::Required);
+    v("power_scale", m.powerScale);
+    v("load_weight", m.loadWeight);
+}
+
+/** The fixed sections after the named ones. The writer leaves out a
+ *  section whose `written` test fails. */
+template <typename V, typename S>
+void
+sectionKeys(V &&v, S &s)
+{
+    auto &c = s.cluster;
+    auto &t = s.traffic;
+    if (v.section(K::kTraffic, "traffic", true)) {
+        v("seed", t.seed);
+        v("clients", t.clients);
+        v("request_hz", t.requestHz);
+        v("duration", t.duration);
+        v("duration_quick", t.durationQuick);
+        v("zipf_skew", t.zipfSkew);
+        v("key_space", t.keySpace);
+        v("get_fraction", t.getFraction);
+        v("slo_us", t.sloUs);
+        v("shards", t.shards);
+        v.list("placement", t.placement);
+        if (!t.migratePlan.empty())
+            v.list("migrate_plan", t.migratePlan);
+    }
+    if (v.section(K::kNet, "net", true)) {
+        v("latency_us", c.latencyUs);
+        v("gbit_per_sec", c.gbitPerSec);
+    }
+    if (v.section(K::kSim, "sim", true)) {
+        v("rebalance_period", c.rebalancePeriod);
+        v("migration_fixed_seconds", c.migrationFixedSeconds);
+        v("working_set_mib", c.workingSetMib);
+        v("sleep_fraction", c.sleepFraction);
+        v("checkpoint_period", c.checkpointPeriod);
+    }
+    if (v.section(K::kFaults, "faults", c.hasFaults)) {
+        auto &f = c.faults;
+        v("seed", f.seed);
+        v("drop_prob", f.dropProb);
+        v("dup_prob", f.dupProb);
+        v("spike_prob", f.spikeProb);
+        v("spike_max_us", f.spikeMaxUs);
+        v("degrade_factor", f.degradeFactor);
+        v("degrade_period", f.degradePeriodMsgs);
+        v("degrade_len", f.degradeLenMsgs);
+        v("partition_period", f.partitionPeriodMsgs);
+        v("partition_len", f.partitionLenMsgs);
+    }
+    if (v.section(K::kTopology, "topology", c.topo.machinesPerRack > 0)) {
+        v("machines_per_rack", c.topo.machinesPerRack);
+        v("racks_per_pod", c.topo.racksPerPod);
+        v("tor_oversub", c.topo.torOversub);
+        v("agg_oversub", c.topo.aggOversub);
+        v("rack_hop_us", c.topo.rackHopUs);
+        v("agg_hop_us", c.topo.aggHopUs);
+        v("locality_bias", c.topo.localityBias);
+    }
+    if (v.section(K::kCrashes, "crashes", !c.crashPlan.empty())) {
+        v("down_seconds", c.crashDownSeconds);
+        v.list("plan", c.crashPlan);
+    }
+    if (v.section(K::kFailures, "failures", !s.failures.empty())) {
+        v("seed", s.failureSeed);
+        v("shed_deciles", s.shedDeciles);
+        v.list("plan", s.failures);
+    }
+    if (v.section(K::kOs, "os", true)) {
+        v("quantum", s.quantum);
+        v("dsm_mode", s.dsmMode);
+    }
+    if (v.section(K::kFooter, "footer", !s.footer.empty()))
+        v("text", s.footer);
+}
+
+// --- Parsing --------------------------------------------------------
+
+ExperimentKind
+parseKind(const Config &conf)
+{
+    const std::string name = conf.requireString("", "kind");
+    std::string want;
+    for (size_t i = 0; i < std::size(kKinds); ++i) {
+        if (name == kKinds[i].name)
+            return static_cast<ExperimentKind>(i);
+        want += std::string(i ? ", " : "") +
+                (i + 1 == std::size(kKinds) ? "or " : "") + kKinds[i].name;
+    }
+    specFail(conf, "unknown kind '" + name + "' (want " + want + ")");
 }
 
 void
@@ -394,15 +612,10 @@ readNodes(Config &conf, ClusterSpec &c)
     for (const std::string &sec : conf.sectionsWithPrefix("node.")) {
         NodeOverride n;
         n.name = sectionSuffix(sec);
-        n.base = conf.requireString(sec, "base");
+        nodeKeys(KeyReader{conf, sec}, n);
         if (n.base != "xeno" && n.base != "aether")
             specFail(conf, "[" + sec + "] base must be xeno or aether, "
                            "got '" + n.base + "'");
-        read(conf, sec, "cores", n.cores);
-        read(conf, sec, "freq_ghz", n.freqGHz);
-        read(conf, sec, "idle_watts", n.idleWatts);
-        read(conf, sec, "max_watts", n.maxWatts);
-        read(conf, sec, "mem_penalty", n.memPenaltyCycles);
         c.nodes.push_back(n);
     }
 }
@@ -413,9 +626,7 @@ readMachines(Config &conf, ClusterSpec &c)
     for (const std::string &sec : conf.sectionsWithPrefix("machine.")) {
         MachineSpec m;
         m.name = sectionSuffix(sec);
-        m.node = conf.requireString(sec, "node");
-        read(conf, sec, "power_scale", m.powerScale);
-        read(conf, sec, "load_weight", m.loadWeight);
+        machineKeys(KeyReader{conf, sec}, m);
         if (m.node != "xeno" && m.node != "aether" &&
             !c.findNode(m.node))
             specFail(conf, "[" + sec + "] references unknown node '" +
@@ -424,6 +635,8 @@ readMachines(Config &conf, ClusterSpec &c)
     }
 }
 
+/** [pool.*] is read and written by hand: `machines` is a list,
+ *  `policy` an enum, and each label defaults to another. */
 void
 readPools(Config &conf, ClusterSpec &c)
 {
@@ -456,64 +669,8 @@ readPools(Config &conf, ClusterSpec &c)
 }
 
 void
-readNet(Config &conf, ClusterSpec &c)
+readCrashPlan(Config &conf, ClusterSpec &c)
 {
-    read(conf, "net", "latency_us", c.latencyUs);
-    read(conf, "net", "gbit_per_sec", c.gbitPerSec);
-}
-
-void
-readSim(Config &conf, ClusterSpec &c)
-{
-    read(conf, "sim", "rebalance_period", c.rebalancePeriod);
-    read(conf, "sim", "migration_fixed_seconds", c.migrationFixedSeconds);
-    read(conf, "sim", "working_set_mib", c.workingSetMib);
-    read(conf, "sim", "sleep_fraction", c.sleepFraction);
-    read(conf, "sim", "checkpoint_period", c.checkpointPeriod);
-}
-
-void
-readFaults(Config &conf, ClusterSpec &c)
-{
-    if (!conf.hasSection("faults"))
-        return;
-    c.hasFaults = true;
-    FaultConfig &f = c.faults;
-    read(conf, "faults", "seed", f.seed);
-    read(conf, "faults", "drop_prob", f.dropProb);
-    read(conf, "faults", "dup_prob", f.dupProb);
-    read(conf, "faults", "spike_prob", f.spikeProb);
-    read(conf, "faults", "spike_max_us", f.spikeMaxUs);
-    read(conf, "faults", "degrade_factor", f.degradeFactor);
-    read(conf, "faults", "degrade_period", f.degradePeriodMsgs);
-    read(conf, "faults", "degrade_len", f.degradeLenMsgs);
-    read(conf, "faults", "partition_period", f.partitionPeriodMsgs);
-    read(conf, "faults", "partition_len", f.partitionLenMsgs);
-}
-
-void
-readTopology(Config &conf, ClusterSpec &c)
-{
-    if (!conf.hasSection("topology"))
-        return;
-    TopologyConfig &t = c.topo;
-    read(conf, "topology", "machines_per_rack", t.machinesPerRack);
-    read(conf, "topology", "racks_per_pod", t.racksPerPod);
-    read(conf, "topology", "tor_oversub", t.torOversub);
-    read(conf, "topology", "agg_oversub", t.aggOversub);
-    read(conf, "topology", "rack_hop_us", t.rackHopUs);
-    read(conf, "topology", "agg_hop_us", t.aggHopUs);
-    read(conf, "topology", "locality_bias", t.localityBias);
-    if (const char *err = topologyConfigError(t))
-        specFail(conf, std::string("[topology] ") + err);
-}
-
-void
-readCrashes(Config &conf, ClusterSpec &c)
-{
-    if (!conf.hasSection("crashes"))
-        return;
-    read(conf, "crashes", "down_seconds", c.crashDownSeconds);
     for (const std::string &ev : conf.getList("crashes", "plan")) {
         size_t at = ev.find('@');
         if (at == std::string::npos)
@@ -572,48 +729,26 @@ parseExperiment(Config &conf)
 {
     ExperimentSpec s;
     s.source = conf.name();
-
-    std::string kindStr = conf.requireString("", "kind");
-    if (kindStr == "overhead")
-        s.kind = ExperimentKind::Overhead;
-    else if (kindStr == "sustained")
-        s.kind = ExperimentKind::Sustained;
-    else if (kindStr == "rack")
-        s.kind = ExperimentKind::Rack;
-    else if (kindStr == "single")
-        s.kind = ExperimentKind::Single;
-    else if (kindStr == "serving")
-        s.kind = ExperimentKind::Serving;
-    else
-        specFail(conf, "unknown kind '" + kindStr +
-                           "' (want overhead, sustained, rack, "
-                           "single, or serving)");
-    s.figure = conf.requireString("", "figure");
-    s.title = conf.requireString("", "title");
-    if (writesPerfJson(s.kind))
-        s.benchName = conf.getString("", "bench_name", s.benchName);
-
-    const unsigned sections = kindSections(s.kind);
-    if (sections & kParamSets)
+    s.kind = parseKind(conf);
+    const unsigned sections = kindInfo(s.kind).sections;
+    ClusterSpec &c = s.cluster;
+    topKeys(KeyReader{conf, ""}, s);
+    if (sections & K::kParamSets)
         readParamSets(conf, s.paramSets);
-    if (sections & kNodes)
-        readNodes(conf, s.cluster);
-    if (sections & kMachines)
-        readMachines(conf, s.cluster);
-    if (sections & kPools)
-        readPools(conf, s.cluster);
-    if (sections & kNet)
-        readNet(conf, s.cluster);
-    if (sections & kSim)
-        readSim(conf, s.cluster);
-    if (sections & kFaults)
-        readFaults(conf, s.cluster);
-    if (sections & kTopology)
-        readTopology(conf, s.cluster);
-    if (sections & kCrashes)
-        readCrashes(conf, s.cluster);
-    if (sections & kFooter)
-        s.footer = conf.getString("footer", "text", "");
+    if (sections & K::kNodes)
+        readNodes(conf, c);
+    if (sections & K::kMachines)
+        readMachines(conf, c);
+    if (sections & K::kPools)
+        readPools(conf, c);
+    sectionKeys(KeyReader{conf, "", sections}, s);
+    c.hasFaults = (sections & K::kFaults) && conf.hasSection("faults");
+    if (const char *err = topologyConfigError(c.topo))
+        specFail(conf, std::string("[topology] ") + err);
+    if (sections & K::kCrashes)
+        readCrashPlan(conf, c);
+    if ((sections & K::kTraffic) && !conf.has("traffic", "duration_quick"))
+        s.traffic.durationQuick = s.traffic.duration / 8.0;
 
     switch (s.kind) {
       case ExperimentKind::Overhead: {
@@ -640,33 +775,24 @@ parseExperiment(Config &conf)
         s.threadsQuick = parseThreadList(conf, "threads_quick", {1, 4});
         break;
       }
-      case ExperimentKind::Sustained: {
-        readSets(conf, s);
-        read(conf, "", "jobs_per_set", s.jobsPerSet);
-        if (s.sets < 1 || s.jobsPerSet < 1)
-            specFail(conf, "sets and jobs_per_set must be >= 1");
-        validatePools(conf, s, /*needTwoMachines=*/true);
-        break;
-      }
+      case ExperimentKind::Sustained:
       case ExperimentKind::Rack: {
-        readSets(conf, s);
-        read(conf, "", "waves", s.waves);
-        read(conf, "", "jobs_per_wave_per_machine",
-             s.jobsPerWavePerMachine);
-        read(conf, "", "pool_machines", s.poolMachines);
-        if (s.sets < 1 || s.waves < 1 ||
-            s.jobsPerWavePerMachine < 1 || s.poolMachines < 1)
+        const bool sustained = s.kind == ExperimentKind::Sustained;
+        if (s.setsQuick < 0)
+            conf.failAt("", "sets_quick",
+                        "key 'sets_quick' must be >= 0 (0 runs 'sets'), "
+                        "got " + std::to_string(s.setsQuick));
+        if (sustained && (s.sets < 1 || s.jobsPerSet < 1))
+            specFail(conf, "sets and jobs_per_set must be >= 1");
+        if (!sustained && (s.sets < 1 || s.waves < 1 ||
+                           s.jobsPerWavePerMachine < 1 ||
+                           s.poolMachines < 1))
             specFail(conf, "sets, waves, jobs_per_wave_per_machine "
                            "and pool_machines must be >= 1");
-        validatePools(conf, s, /*needTwoMachines=*/false);
+        validatePools(conf, s, /*needTwoMachines=*/sustained);
         break;
       }
       case ExperimentKind::Single: {
-        s.workloadRef = conf.requireString("", "workload");
-        s.singleMachines = conf.requireString("", "machines");
-        read(conf, "", "start_node", s.startNode);
-        read(conf, "os", "quantum", s.quantum);
-        s.dsmMode = conf.getString("os", "dsm_mode", s.dsmMode);
         if (s.dsmMode != "migrate" && s.dsmMode != "remote")
             specFail(conf, "[os] dsm_mode must be migrate or remote, "
                            "got '" + s.dsmMode + "'");
@@ -687,7 +813,6 @@ parseExperiment(Config &conf)
         break;
       }
       case ExperimentKind::Serving: {
-        s.singleMachines = conf.requireString("", "machines");
         // Serving fleets can be large, so the machines list accepts
         // the pool-style NAME*COUNT shorthand ("xeno*500").
         std::vector<std::string> refs;
@@ -718,17 +843,6 @@ parseExperiment(Config &conf)
         const int nodeCount = static_cast<int>(refs.size());
 
         TrafficSpec &t = s.traffic;
-        read(conf, "traffic", "seed", t.seed);
-        read(conf, "traffic", "clients", t.clients);
-        read(conf, "traffic", "request_hz", t.requestHz);
-        read(conf, "traffic", "duration", t.duration);
-        t.durationQuick = t.duration / 8.0;
-        read(conf, "traffic", "duration_quick", t.durationQuick);
-        read(conf, "traffic", "zipf_skew", t.zipfSkew);
-        read(conf, "traffic", "key_space", t.keySpace);
-        read(conf, "traffic", "get_fraction", t.getFraction);
-        read(conf, "traffic", "slo_us", t.sloUs);
-        read(conf, "traffic", "shards", t.shards);
         if (t.clients < 1)
             specFail(conf, "[traffic] clients must be >= 1");
         if (t.requestHz <= 0 || t.duration <= 0 || t.durationQuick <= 0)
@@ -821,8 +935,6 @@ parseExperiment(Config &conf)
                          "[failures] needs [topology] "
                          "machines_per_rack to define the failure "
                          "domains");
-            read(conf, "failures", "seed", s.failureSeed);
-            read(conf, "failures", "shed_deciles", s.shedDeciles);
             if (s.shedDeciles < 1 || s.shedDeciles > 10)
                 specFail(conf,
                          "[failures] shed_deciles must be in [1, 10]");
@@ -937,227 +1049,41 @@ makeRegistry(const ExperimentSpec &spec)
 
 // --- Serialization --------------------------------------------------
 
-namespace {
-
-struct Writer {
-    std::string out;
-
-    void
-    kv(const std::string &key, const std::string &value)
-    {
-        out += key + " = " + confQuote(value) + "\n";
-    }
-    void kv(const std::string &key, double v) { kv(key, fmtDouble(v)); }
-    void kv(const std::string &key, int v) { kv(key, std::to_string(v)); }
-    void kv(const std::string &key, uint64_t v) { kv(key, fmtU64(v)); }
-    void kv(const std::string &key, bool v)
-    {
-        kv(key, std::string(v ? "true" : "false"));
-    }
-    void
-    section(const std::string &name)
-    {
-        out += "\n[" + name + "]\n";
-    }
-};
-
-std::string
-classListString(const std::vector<ProblemClass> &classes)
-{
-    std::vector<std::string> names;
-    for (ProblemClass c : classes)
-        names.push_back(className(c));
-    return joinList(names);
-}
-
-std::string
-intListString(const std::vector<int> &values)
-{
-    std::vector<std::string> names;
-    for (int v : values)
-        names.push_back(std::to_string(v));
-    return joinList(names);
-}
-
-} // namespace
-
 std::string
 serializeSpec(const ExperimentSpec &s)
 {
-    Writer w;
-    w.out += "# canonical spec (xisa_exp --print-spec)\n";
-    w.kv("kind", std::string(kindName(s.kind)));
-    w.kv("figure", s.figure);
-    w.kv("title", s.title);
-    if (writesPerfJson(s.kind))
-        w.kv("bench_name", s.benchName);
-
-    switch (s.kind) {
-      case ExperimentKind::Overhead:
-        w.kv("workloads", joinList(s.workloads));
-        w.kv("isas", joinList(s.isas));
-        w.kv("classes", classListString(s.classes));
-        w.kv("classes_quick", classListString(s.classesQuick));
-        w.kv("threads", intListString(s.threads));
-        w.kv("threads_quick", intListString(s.threadsQuick));
-        break;
-      case ExperimentKind::Sustained:
-        w.kv("sets", s.sets);
-        w.kv("sets_quick", s.setsQuick);
-        w.kv("seed_base", s.seedBase);
-        w.kv("jobs_per_set", s.jobsPerSet);
-        break;
-      case ExperimentKind::Rack:
-        w.kv("sets", s.sets);
-        w.kv("sets_quick", s.setsQuick);
-        w.kv("seed_base", s.seedBase);
-        w.kv("waves", s.waves);
-        w.kv("jobs_per_wave_per_machine", s.jobsPerWavePerMachine);
-        w.kv("pool_machines", s.poolMachines);
-        break;
-      case ExperimentKind::Single:
-        w.kv("workload", s.workloadRef);
-        w.kv("machines", s.singleMachines);
-        w.kv("start_node", s.startNode);
-        break;
-      case ExperimentKind::Serving:
-        w.kv("machines", s.singleMachines);
-        break;
-    }
-
     // Exactly the sections parseExperiment reads for this kind, so the
-    // canonical text of a hand-built spec parses back too.
-    const unsigned sections = kindSections(s.kind);
+    // canonical text of a hand-built spec parses back too. The named
+    // sections are empty unless the kind reads them.
+    KeyWriter w;
+    w.sections = kindInfo(s.kind).sections;
+    w.out += "# canonical spec (xisa_exp --print-spec)\n";
+    w("kind", std::string(kindName(s.kind)));
+    topKeys(w, s);
     for (const ParamSetSpec &ps : s.paramSets) {
-        w.section("paramset." + ps.name);
+        w.out += "\n[paramset." + ps.name + "]\n";
         for (const std::string &key : ps.params.keys())
-            w.kv(key, ps.params.getString(key, ""));
+            w(key.c_str(), ps.params.getString(key, ""));
     }
     for (const NodeOverride &n : s.cluster.nodes) {
-        w.section("node." + n.name);
-        w.kv("base", n.base);
-        w.kv("cores", n.cores);
-        w.kv("freq_ghz", n.freqGHz);
-        w.kv("idle_watts", n.idleWatts);
-        w.kv("max_watts", n.maxWatts);
-        w.kv("mem_penalty", n.memPenaltyCycles);
+        w.out += "\n[node." + n.name + "]\n";
+        nodeKeys(w, n);
     }
     for (const MachineSpec &m : s.cluster.machines) {
-        w.section("machine." + m.name);
-        w.kv("node", m.node);
-        w.kv("power_scale", m.powerScale);
-        w.kv("load_weight", m.loadWeight);
+        w.out += "\n[machine." + m.name + "]\n";
+        machineKeys(w, m);
     }
     for (const PoolSpec &p : s.cluster.pools) {
-        w.section("pool." + p.name);
-        w.kv("machines", joinList(p.machineRefs));
-        w.kv("policy", std::string(policyName(p.policy)));
-        w.kv("baseline", p.baseline);
-        w.kv("label", p.label);
-        w.kv("column", p.column);
-        w.kv("mksp_label", p.mkspLabel);
-        w.kv("short_label", p.shortLabel);
+        w.out += "\n[pool." + p.name + "]\n";
+        w.list("machines", p.machineRefs);
+        w("policy", std::string(policyName(p.policy)));
+        w("baseline", p.baseline);
+        w("label", p.label);
+        w("column", p.column);
+        w("mksp_label", p.mkspLabel);
+        w("short_label", p.shortLabel);
     }
-
-    if (s.kind == ExperimentKind::Serving) {
-        const TrafficSpec &t = s.traffic;
-        w.section("traffic");
-        w.kv("seed", t.seed);
-        w.kv("clients", static_cast<uint64_t>(t.clients));
-        w.kv("request_hz", t.requestHz);
-        w.kv("duration", t.duration);
-        w.kv("duration_quick", t.durationQuick);
-        w.kv("zipf_skew", t.zipfSkew);
-        w.kv("key_space", static_cast<uint64_t>(t.keySpace));
-        w.kv("get_fraction", t.getFraction);
-        w.kv("slo_us", t.sloUs);
-        w.kv("shards", t.shards);
-        w.kv("placement", intListString(t.placement));
-        if (!t.migratePlan.empty()) {
-            std::vector<std::string> plan;
-            for (const ShardMigrationSpec &m : t.migratePlan)
-                plan.push_back(std::to_string(m.shard) + "@" +
-                               fmtDouble(m.time) + "->" +
-                               std::to_string(m.node));
-            w.kv("migrate_plan", joinList(plan));
-        }
-    }
-
-    if (sections & kNet) {
-        w.section("net");
-        w.kv("latency_us", s.cluster.latencyUs);
-        w.kv("gbit_per_sec", s.cluster.gbitPerSec);
-    }
-
-    if (sections & kSim) {
-        w.section("sim");
-        w.kv("rebalance_period", s.cluster.rebalancePeriod);
-        w.kv("migration_fixed_seconds",
-             s.cluster.migrationFixedSeconds);
-        w.kv("working_set_mib", s.cluster.workingSetMib);
-        w.kv("sleep_fraction", s.cluster.sleepFraction);
-        w.kv("checkpoint_period", s.cluster.checkpointPeriod);
-    }
-
-    if ((sections & kFaults) && s.cluster.hasFaults) {
-        const FaultConfig &f = s.cluster.faults;
-        w.section("faults");
-        w.kv("seed", static_cast<uint64_t>(f.seed));
-        w.kv("drop_prob", f.dropProb);
-        w.kv("dup_prob", f.dupProb);
-        w.kv("spike_prob", f.spikeProb);
-        w.kv("spike_max_us", f.spikeMaxUs);
-        w.kv("degrade_factor", f.degradeFactor);
-        w.kv("degrade_period", f.degradePeriodMsgs);
-        w.kv("degrade_len", f.degradeLenMsgs);
-        w.kv("partition_period", f.partitionPeriodMsgs);
-        w.kv("partition_len", f.partitionLenMsgs);
-    }
-
-    if ((sections & kTopology) && s.cluster.topo.machinesPerRack > 0) {
-        const TopologyConfig &t = s.cluster.topo;
-        w.section("topology");
-        w.kv("machines_per_rack", t.machinesPerRack);
-        w.kv("racks_per_pod", t.racksPerPod);
-        w.kv("tor_oversub", t.torOversub);
-        w.kv("agg_oversub", t.aggOversub);
-        w.kv("rack_hop_us", t.rackHopUs);
-        w.kv("agg_hop_us", t.aggHopUs);
-        w.kv("locality_bias", t.localityBias);
-    }
-
-    if ((sections & kCrashes) && !s.cluster.crashPlan.empty()) {
-        w.section("crashes");
-        w.kv("down_seconds", s.cluster.crashDownSeconds);
-        std::vector<std::string> plan;
-        for (const CrashSpec &cs : s.cluster.crashPlan)
-            plan.push_back(std::to_string(cs.machine) + "@" +
-                           fmtDouble(cs.time));
-        w.kv("plan", joinList(plan));
-    }
-
-    if (s.kind == ExperimentKind::Serving && !s.failures.empty()) {
-        w.section("failures");
-        w.kv("seed", s.failureSeed);
-        w.kv("shed_deciles", s.shedDeciles);
-        std::vector<std::string> plan;
-        for (const FailureSpec &f : s.failures)
-            plan.push_back(f.kind + ":" + std::to_string(f.domain) +
-                           "@" + fmtDouble(f.at) + ".." +
-                           fmtDouble(f.heal));
-        w.kv("plan", joinList(plan));
-    }
-
-    if (s.kind == ExperimentKind::Single) {
-        w.section("os");
-        w.kv("quantum", s.quantum);
-        w.kv("dsm_mode", s.dsmMode);
-    }
-
-    if ((sections & kFooter) && !s.footer.empty()) {
-        w.section("footer");
-        w.kv("text", s.footer);
-    }
+    sectionKeys(w, s);
     return w.out;
 }
 

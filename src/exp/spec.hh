@@ -12,7 +12,10 @@
  * workloads at which parameters, how many seeded sets, and how the
  * rows are labelled.
  *
- * parseExperiment() reads only the sections the kind's runner uses,
+ * The kind table (KindInfo) names each kind, its sections and its
+ * outputs. In spec.cc one key list binds each key to its field;
+ * parseExperiment() visits the lists to read and serializeSpec() to
+ * write. parseExperiment() reads only the sections of the kind's row,
  * applies defaults, validates cross-references (every pool machine
  * must name a [machine.*], every policy must be a scheduler policy,
  * ...), and finishes with requireAllUsed() so any key the kind does not
@@ -40,6 +43,24 @@ namespace xisa::exp {
 /** The kinds of experiment the runner can drive. */
 enum class ExperimentKind { Overhead, Sustained, Rack, Single, Serving };
 
+/** One row of the kind table (spec.cc): what the parser, the canonical
+ *  writer and the runner's output checks know about a kind. */
+struct KindInfo {
+    /** The conf sections, one bit each; [node.*] is every [node.NAME]. */
+    enum Section : unsigned {
+        kNodes = 1u << 0, kParamSets = 1u << 1, kMachines = 1u << 2,
+        kPools = 1u << 3, kNet = 1u << 4, kSim = 1u << 5,
+        kFaults = 1u << 6, kCrashes = 1u << 7, kTopology = 1u << 8,
+        kFooter = 1u << 9, kOs = 1u << 10, kTraffic = 1u << 11,
+        kFailures = 1u << 12,
+    };
+    const char *name;
+    unsigned sections;    ///< Section bits: what it reads and writes
+    bool writesJson;      ///< --json rows, so it reads `bench_name`
+    bool writesSweepJson; ///< --sweep-json per-cell host times
+};
+
+const KindInfo &kindInfo(ExperimentKind k);
 const char *kindName(ExperimentKind k);
 
 /** [node.NAME]: a NodeSpec derived from a builtin preset. Zero-valued
@@ -185,7 +206,7 @@ struct ExperimentSpec {
     std::string title;
     std::string footer;
     /** The --json "bench" field; only the kinds that write --json
-     *  (overhead, rack, serving) read `bench_name`. */
+     *  (KindInfo::writesJson) read `bench_name`. */
     std::string benchName = "xisa_exp";
 
     // kind = overhead

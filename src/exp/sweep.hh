@@ -49,18 +49,23 @@ banner(const char *figure, const char *what)
  * superblocks with every other container handed the same cache --
  * sweep drivers pass one cache per compiled binary so repeated cells
  * decode it once (DESIGN.md §10); it must only ever span containers
- * executing the identical binary.
+ * executing the identical binary. `keep` (optional) receives the
+ * finished container, whose stat registry lives as long as it does.
  */
 inline OsRunResult
 runSingleNode(const MultiIsaBinary &bin, const NodeSpec &spec,
-              std::shared_ptr<ExecCache> execCache = nullptr)
+              std::shared_ptr<ExecCache> execCache = nullptr,
+              std::unique_ptr<ReplicatedOS> *keep = nullptr)
 {
     OsConfig cfg;
     cfg.nodes = {spec};
     cfg.execCache = std::move(execCache);
-    ReplicatedOS os(bin, cfg);
-    os.load(0);
-    return os.run();
+    auto os = std::make_unique<ReplicatedOS>(bin, cfg);
+    os->load(0);
+    OsRunResult r = os->run();
+    if (keep)
+        *keep = std::move(os);
+    return r;
 }
 
 /**

@@ -613,6 +613,45 @@ INSTANTIATE_TEST_SUITE_P(
         ForeignSectionCase{"serving_paramset", "serving",
                            "[paramset.big]\nclass = B\n",
                            "paramset.big.class"},
+        ForeignSectionCase{"overhead_os", "overhead",
+                           "[os]\nquantum = 2000\n", "os.quantum"},
+        ForeignSectionCase{"sustained_os", "sustained",
+                           "[os]\nquantum = 2000\n", "os.quantum"},
+        ForeignSectionCase{"rack_os", "rack", "[os]\nquantum = 2000\n",
+                           "os.quantum"},
+        ForeignSectionCase{"serving_os", "serving",
+                           "[os]\nquantum = 2000\n", "os.quantum"},
+        ForeignSectionCase{"overhead_traffic", "overhead",
+                           "[traffic]\nshards = 4\n", "traffic.shards"},
+        ForeignSectionCase{"single_traffic", "single",
+                           "[traffic]\nshards = 4\n", "traffic.shards"},
+        ForeignSectionCase{"sustained_traffic", "sustained",
+                           "[traffic]\nshards = 4\n", "traffic.shards"},
+        ForeignSectionCase{"rack_traffic", "rack",
+                           "[traffic]\nshards = 4\n", "traffic.shards"},
+        ForeignSectionCase{"overhead_failures", "overhead",
+                           "[failures]\nplan = tor:0@0.2..0.4\n",
+                           "failures.plan"},
+        ForeignSectionCase{"single_failures", "single",
+                           "[failures]\nplan = tor:0@0.2..0.4\n",
+                           "failures.plan"},
+        ForeignSectionCase{"sustained_failures", "sustained",
+                           "[failures]\nplan = tor:0@0.2..0.4\n",
+                           "failures.plan"},
+        ForeignSectionCase{"rack_failures", "rack",
+                           "[failures]\nplan = tor:0@0.2..0.4\n",
+                           "failures.plan"},
+        // A top-level key of one kind on another.
+        ForeignSectionCase{"rack_jobs_per_set", "rack",
+                           "jobs_per_set = 10\n", "jobs_per_set"},
+        ForeignSectionCase{"sustained_waves", "sustained", "waves = 3\n",
+                           "waves"},
+        ForeignSectionCase{"serving_start_node", "serving",
+                           "start_node = 1\n", "start_node"},
+        ForeignSectionCase{"overhead_sets", "overhead", "sets = 2\n",
+                           "sets"},
+        ForeignSectionCase{"single_workloads", "single",
+                           "workloads = cg\n", "workloads"},
         // Keys inside a section the kind does read, but which change
         // nothing: bench_name labels only --json, which sustained and
         // single never write, and a pool column is always 21/25 wide.
@@ -648,6 +687,313 @@ TEST(Spec, CanonicalTextWritesOnlyTheKindsSections)
         const std::string text = canon(kind);
         EXPECT_NE(text.find("\n[net]\n"), std::string::npos) << kind;
         EXPECT_NE(text.find("\n[sim]\n"), std::string::npos) << kind;
+    }
+}
+
+/**
+ * One conf per kind that sets every key the kind reads away from its
+ * default, in its canonical text as recorded before the conf schema
+ * became one key list per section. Reading it back must write it
+ * byte for byte: a key the reader skips is left unused, and a key the
+ * writer drops, renames or formats differently changes the text.
+ */
+struct PinnedSpec {
+    const char *kind;
+    const char *text;
+};
+
+const PinnedSpec kPinnedSpecs[] = {
+    {"overhead", R"spec(# canonical spec (xisa_exp --print-spec)
+kind = overhead
+figure = "Fig. X"
+title = "every key, overhead"
+bench_name = pin_overhead
+workloads = "cg@big, is"
+isas = "fast_arm, xeno"
+classes = "B, A"
+classes_quick = B
+threads = "2, 1"
+threads_quick = 2
+
+[paramset.big]
+class = B
+
+[node.fast_arm]
+base = aether
+cores = 12
+freq_ghz = 2.5
+idle_watts = 40
+max_watts = 90
+mem_penalty = 120
+)spec"},
+    {"single", R"spec(# canonical spec (xisa_exp --print-spec)
+kind = single
+figure = "Fig. S"
+title = "every key, single"
+workload = cg@small
+machines = "fast, aether"
+start_node = 1
+
+[paramset.small]
+class = A
+nthreads = 2
+
+[node.fast]
+base = xeno
+cores = 6
+freq_ghz = 3.1
+idle_watts = 55
+max_watts = 140
+mem_penalty = 90
+
+[net]
+latency_us = 3.5
+gbit_per_sec = 25
+
+[faults]
+seed = 77
+drop_prob = 0.01
+dup_prob = 0.02
+spike_prob = 0.03
+spike_max_us = 75
+degrade_factor = 2.5
+degrade_period = 40
+degrade_len = 4
+partition_period = 60
+partition_len = 3
+
+[os]
+quantum = 2500
+dsm_mode = remote
+)spec"},
+    {"sustained", R"spec(# canonical spec (xisa_exp --print-spec)
+kind = sustained
+figure = "Fig. 12x"
+title = "every key, sustained"
+sets = 3
+sets_quick = 2
+seed_base = 1234
+jobs_per_set = 12
+
+[node.armn]
+base = aether
+cores = 16
+freq_ghz = 2.2
+idle_watts = 30
+max_watts = 70
+mem_penalty = 150
+
+[machine.x86]
+node = xeno
+power_scale = 0.9
+load_weight = 1.5
+
+[machine.arm]
+node = armn
+power_scale = 0.2
+load_weight = 0.75
+
+[pool.base]
+machines = x86*2
+policy = static-balanced
+baseline = true
+label = 2x86
+column = "x86 pair"
+mksp_label = base
+short_label = static
+
+[pool.mix]
+machines = "x86, arm"
+policy = dynamic-unbalanced
+baseline = false
+label = mixed
+column = "x86 + arm"
+mksp_label = mix
+short_label = dynamic
+
+[net]
+latency_us = 2.5
+gbit_per_sec = 10
+
+[sim]
+rebalance_period = 2
+migration_fixed_seconds = 0.1
+working_set_mib = 8
+sleep_fraction = 0.5
+checkpoint_period = 7.5
+
+[faults]
+seed = 5
+drop_prob = 0.04
+dup_prob = 0.01
+spike_prob = 0.02
+spike_max_us = 60
+degrade_factor = 3
+degrade_period = 20
+degrade_len = 2
+partition_period = 50
+partition_len = 5
+
+[topology]
+machines_per_rack = 1
+racks_per_pod = 2
+tor_oversub = 2
+agg_oversub = 4
+rack_hop_us = 3
+agg_hop_us = 9
+locality_bias = 0.25
+
+[crashes]
+down_seconds = 12
+plan = "1@30, 0@45.5"
+
+[footer]
+text = "every key set"
+)spec"},
+    {"rack", R"spec(# canonical spec (xisa_exp --print-spec)
+kind = rack
+figure = "Rack x"
+title = "every key, rack"
+bench_name = pin_rack
+sets = 4
+sets_quick = 1
+seed_base = 99
+waves = 3
+jobs_per_wave_per_machine = 2
+pool_machines = 6
+
+[node.armn]
+base = aether
+cores = 24
+freq_ghz = 2.8
+idle_watts = 35
+max_watts = 85
+mem_penalty = 110
+
+[machine.x86]
+node = xeno
+power_scale = 0.95
+load_weight = 1.25
+
+[machine.arm]
+node = armn
+power_scale = 0.1
+load_weight = 0.5
+
+[pool.base]
+machines = x86*4
+policy = static-balanced
+baseline = true
+label = "4x86 (baseline)"
+column = c1
+mksp_label = m1
+short_label = s1
+
+[pool.mix]
+machines = "x86*2, arm*2"
+policy = dynamic-balanced
+baseline = false
+label = "2+2"
+column = c2
+mksp_label = m2
+short_label = s2
+
+[net]
+latency_us = 4
+gbit_per_sec = 100
+
+[sim]
+rebalance_period = 0.5
+migration_fixed_seconds = 0.2
+working_set_mib = 16
+sleep_fraction = 0.75
+checkpoint_period = 3
+
+[faults]
+seed = 8
+drop_prob = 0.05
+dup_prob = 0.03
+spike_prob = 0.04
+spike_max_us = 20
+degrade_factor = 1.5
+degrade_period = 30
+degrade_len = 6
+partition_period = 70
+partition_len = 2
+
+[topology]
+machines_per_rack = 2
+racks_per_pod = 1
+tor_oversub = 3
+agg_oversub = 2
+rack_hop_us = 4
+agg_hop_us = 12
+locality_bias = 0.5
+
+[crashes]
+down_seconds = 40
+plan = 3@100
+
+[footer]
+text = "rack footer"
+)spec"},
+    {"serving", R"spec(# canonical spec (xisa_exp --print-spec)
+kind = serving
+figure = "Serving x"
+title = "every key, serving"
+bench_name = pin_serving
+machines = "fast*4, aether*4"
+
+[node.fast]
+base = xeno
+cores = 10
+freq_ghz = 2.9
+idle_watts = 60
+max_watts = 150
+mem_penalty = 100
+
+[traffic]
+seed = 7
+clients = 3000
+request_hz = 1.5
+duration = 1.25
+duration_quick = 0.3
+zipf_skew = 0.8
+key_space = 4096
+get_fraction = 0.7
+slo_us = 500
+shards = 4
+placement = "0, 2, 4, 6"
+migrate_plan = "1@0.4->5"
+
+[topology]
+machines_per_rack = 2
+racks_per_pod = 2
+tor_oversub = 2
+agg_oversub = 3
+rack_hop_us = 6
+agg_hop_us = 18
+locality_bias = 0.75
+
+[crashes]
+down_seconds = 5
+plan = 3@0.2
+
+[failures]
+seed = 21
+shed_deciles = 5
+plan = "tor:1@0.1..0.3, agg:1@0.5..0.6"
+
+[footer]
+text = "serving footer"
+)spec"},
+};
+
+TEST(Spec, CanonicalTextPinnedWithEveryKeySet)
+{
+    for (const PinnedSpec &p : kPinnedSpecs) {
+        Config c = Config::parseString(p.text, p.kind);
+        EXPECT_EQ(serializeSpec(parseExperiment(c)), p.text) << p.kind;
     }
 }
 
